@@ -1,11 +1,9 @@
-//! Width-sizing wall time: dense full-STA recomputation vs the
-//! incremental evaluation layer, across the benchmark suite.
+//! Width-sizing wall time on the incremental evaluation layer, across
+//! the benchmark suite.
 //!
-//! Every probe in the sizing inner loops used to pay a full O(N) delay
-//! and arrival recompute; the incremental layer repairs only the
-//! fanout cone of the changed gate and maintains the energy breakdown
-//! as a running ledger. Both paths are bit-identical (the determinism
-//! suite proves it), so this bench measures pure wall-time gain.
+//! The sizing inner loops repair only the fanout cone of each changed
+//! gate and maintain the energy breakdown as a running ledger, instead
+//! of paying a full O(N) delay and arrival recompute per probe.
 //!
 //! Run with:
 //!
@@ -14,11 +12,10 @@
 //! cargo bench --bench incremental_sta -- --smoke # 1 iteration, CI
 //! ```
 //!
-//! Reports, per circuit and per sizing engine, the dense and
-//! incremental wall times and their ratio; then a gates-touched
-//! histogram from a width-edit storm on the largest suite circuit,
-//! showing how small the repaired cones actually are; and finally the
-//! engine telemetry accumulated by the incremental runs.
+//! Reports, per circuit and per sizing engine, the sizing wall time;
+//! then a gates-touched histogram from a width-edit storm on the largest
+//! suite circuit, showing how small the repaired cones actually are; and
+//! finally the engine telemetry accumulated by the sizing runs.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -40,16 +37,15 @@ const ACTIVITY: f64 = 0.5;
 const VDD: f64 = 2.5;
 const VT: f64 = 0.45;
 
-/// Times one sizing call on a fresh single-thread, cache-off context
-/// (so every probe is really computed), returning the best wall over
-/// `iters` repeats. The context's stats accumulate into `telemetry`
-/// when provided, for the closing report.
+/// Times one sizing call on a single-thread, cache-off context (so
+/// every probe is really computed), returning the best wall over `iters`
+/// repeats. The context's stats accumulate across calls, for the closing
+/// report.
 fn time_sizing(
     problem: &Problem,
     sizing: SizingMethod,
-    incremental: bool,
     iters: usize,
-    telemetry: Option<&Arc<EvalContext>>,
+    ctx: &Arc<EvalContext>,
 ) -> f64 {
     let opts = SearchOptions {
         sizing,
@@ -57,12 +53,9 @@ fn time_sizing(
     };
     let mut best = f64::INFINITY;
     for _ in 0..iters {
-        let ctx = match telemetry {
-            Some(ctx) => ctx.clone(),
-            None => Arc::new(EvalContext::new(1, 0).with_incremental(incremental)),
-        };
         let start = Instant::now();
-        let result = size_at_with(ctx, problem, VDD, VT, &opts).expect("suite circuit sizes");
+        let result =
+            size_at_with(ctx.clone(), problem, VDD, VT, &opts).expect("suite circuit sizes");
         best = best.min(start.elapsed().as_secs_f64());
         std::hint::black_box(result);
     }
@@ -148,50 +141,31 @@ fn main() {
     let iters = if smoke { 1 } else { 3 };
     let probes = if smoke { 200 } else { 20_000 };
 
-    println!("== incremental vs dense width sizing (vdd {VDD} V, vt {VT} V) ==");
-    println!(
-        "{:<8} {:<10} {:>12} {:>12} {:>9}",
-        "circuit", "sizing", "dense (s)", "incr (s)", "speedup"
-    );
-    // One shared context per mode accumulates telemetry across the
-    // whole suite (threads 1, cache off — identical work per run).
-    let inc_ctx = Arc::new(EvalContext::new(1, 0).with_incremental(true));
-    let mut dense_total = 0.0;
-    let mut inc_total = 0.0;
+    println!("== incremental width sizing (vdd {VDD} V, vt {VT} V) ==");
+    println!("{:<8} {:<10} {:>12}", "circuit", "sizing", "wall (s)");
+    // One shared context accumulates telemetry across the whole suite
+    // (threads 1, cache off — identical work per run).
+    let ctx = Arc::new(EvalContext::new(1, 0));
+    let mut total = 0.0;
     for &name in CIRCUITS {
         let netlist = circuit_by_name(name);
         let problem = problem_for(&netlist, ACTIVITY);
         for sizing in [SizingMethod::Budgeted, SizingMethod::Greedy] {
-            let dense = time_sizing(&problem, sizing, false, iters, None);
-            let inc = time_sizing(&problem, sizing, true, iters, Some(&inc_ctx));
-            dense_total += dense;
-            inc_total += inc;
-            println!(
-                "{:<8} {:<10} {:>12.6} {:>12.6} {:>8.2}x",
-                name,
-                format!("{sizing:?}"),
-                dense,
-                inc,
-                dense / inc
-            );
+            let wall = time_sizing(&problem, sizing, iters, &ctx);
+            total += wall;
+            println!("{:<8} {:<10} {:>12.6}", name, format!("{sizing:?}"), wall);
         }
     }
-    let speedup = dense_total / inc_total;
     println!(
-        "suite width-sizing phase: dense {:.4} s, incremental {:.4} s, {:.2}x {}",
-        dense_total,
-        inc_total,
-        speedup,
+        "suite width-sizing phase: {total:.4} s{}",
         if smoke {
-            "(smoke mode: timings not meaningful)"
-        } else if speedup >= 3.0 {
-            "(meets the >= 3x target)"
+            " (smoke mode: timings not meaningful)"
         } else {
-            "(below the 3x target)"
+            ""
         }
     );
     println!();
     gates_touched_histogram(probes);
     println!();
-    println!("{}", inc_ctx.snapshot().render());
+    println!("{}", ctx.snapshot().render());
 }

@@ -8,54 +8,85 @@
 //! ```
 //!
 //! `--threads <n>` sets the engine's worker count (default: all cores);
-//! `--no-cache` disables probe memoization; `--no-incremental` forces
-//! dense recomputation in the width-sizing loops (bit-identical results,
-//! for benchmarking the incremental layer). Engine telemetry prints
-//! after the experiments.
+//! `--no-cache` disables probe memoization. Engine telemetry prints
+//! after the experiments. An unknown `--flag` is a usage error (exit 2).
 
 use std::fmt::Write as _;
 
 use minpower_bench as exp;
 
+/// Every flag the binary accepts, for the usage message.
+const FLAGS: &str = "--fast, --csv <path>, --threads <n>, --no-cache";
+
+/// Parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    cmd: String,
+    fast: bool,
+    csv_path: Option<String>,
+    threads: Option<usize>,
+    no_cache: bool,
+}
+
+/// Parses the arguments after the program name: the first positional
+/// argument names the experiment (default `all`); flags may appear
+/// anywhere. Unknown flags, missing flag values, and a non-positive
+/// thread count are errors.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        cmd: String::new(),
+        fast: false,
+        csv_path: None,
+        threads: None,
+        no_cache: false,
+    };
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--fast" => parsed.fast = true,
+            "--no-cache" => parsed.no_cache = true,
+            "--csv" => {
+                let v = it.next().ok_or("--csv requires a path")?;
+                parsed.csv_path = Some(v.clone());
+            }
+            "--threads" => {
+                let v = it.next().ok_or("--threads requires a value")?;
+                match v.parse() {
+                    Ok(n) if n >= 1 => parsed.threads = Some(n),
+                    _ => return Err(format!("--threads must be a positive integer, got `{v}`")),
+                }
+            }
+            flag if flag.starts_with("--") => {
+                return Err(format!("unknown flag `{flag}` (flags: {FLAGS})"));
+            }
+            positional if parsed.cmd.is_empty() => parsed.cmd = positional.to_string(),
+            _ => {}
+        }
+    }
+    if parsed.cmd.is_empty() {
+        parsed.cmd = "all".to_string();
+    }
+    Ok(parsed)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let csv_path = flag_value("--csv");
-    let threads_arg = flag_value("--threads");
-    let threads = match threads_arg.as_deref() {
-        None => minpower_core::context::default_threads(),
-        Some(v) => match v.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--threads must be a positive integer, got `{v}`");
-                std::process::exit(2);
-            }
-        },
-    };
-    let capacity = if args.iter().any(|a| a == "--no-cache") {
+    let args = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    let fast = args.fast;
+    let csv_path = args.csv_path;
+    let threads = args
+        .threads
+        .unwrap_or_else(minpower_core::context::default_threads);
+    let capacity = if args.no_cache {
         0
     } else {
         minpower_core::context::DEFAULT_CACHE_CAPACITY
     };
-    let incremental = !args.iter().any(|a| a == "--no-incremental");
-    minpower_core::EvalContext::install(
-        minpower_core::EvalContext::new(threads, capacity).with_incremental(incremental),
-    );
-    let cmd = args
-        .iter()
-        .find(|a| {
-            !a.starts_with("--")
-                && Some(*a) != csv_path.as_ref()
-                && Some(*a) != threads_arg.as_ref()
-        })
-        .map(String::as_str)
-        .unwrap_or("all");
+    minpower_core::EvalContext::install(minpower_core::EvalContext::new(threads, capacity));
+    let cmd = args.cmd.as_str();
 
     let mut csv = String::new();
     match cmd {
@@ -101,8 +132,7 @@ fn main() {
             eprintln!(
                 "unknown experiment `{other}`; available: table1 table2 fig2a fig2b anneal \
                  multi-vt ablation-budget validate body-bias short-circuit activity-error \
-                 ring scaling pareto temperature glitch yield sizing all \
-                 (flags: --fast, --csv <path>, --threads <n>, --no-cache, --no-incremental)"
+                 ring scaling pareto temperature glitch yield sizing all (flags: {FLAGS})"
             );
             std::process::exit(2);
         }
@@ -398,5 +428,48 @@ fn validate() {
             r.spice_energy,
             r.energy_ratio()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(list: &[&str]) -> Result<Args, String> {
+        parse_args(&list.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn flags_and_command_parse_in_any_order() {
+        let args = parse(&["--threads", "3", "table1", "--fast", "--csv", "out.csv"]).unwrap();
+        assert_eq!(
+            args,
+            Args {
+                cmd: "table1".to_string(),
+                fast: true,
+                csv_path: Some("out.csv".to_string()),
+                threads: Some(3),
+                no_cache: false,
+            }
+        );
+        assert_eq!(parse(&["--no-cache"]).unwrap().cmd, "all");
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_with_the_valid_list() {
+        let leftover = format!("--no-{}", "incremental");
+        for flag in [leftover.as_str(), "--fats", "--threads=2"] {
+            let err = parse(&["table1", flag]).unwrap_err();
+            assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+            assert!(err.contains(FLAGS), "{err}");
+        }
+    }
+
+    #[test]
+    fn bad_flag_values_are_rejected() {
+        assert!(parse(&["table1", "--threads"]).is_err());
+        assert!(parse(&["table1", "--threads", "0"]).is_err());
+        assert!(parse(&["table1", "--threads", "abc"]).is_err());
+        assert!(parse(&["table1", "--csv"]).is_err());
     }
 }

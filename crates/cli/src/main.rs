@@ -252,11 +252,7 @@ fn print_usage() {
          \x20 minpower suite\n\
          \n\
          engine flags (any command): --threads N (default: all cores),\n\
-         \x20 --no-cache (disable probe memoization),\n\
-         \x20 --no-incremental (dense recomputation in the sizing loops;\n\
-         \x20 bit-identical results, diagnostic/benchmark use),\n\
-         \x20 --no-soa (scalar gate-by-gate width sweeps instead of the\n\
-         \x20 batched SoA kernel; bit-identical results)\n\
+         \x20 --no-cache (disable probe memoization)\n\
          \n\
          run control (optimize): --time-limit SECS stops the search at the\n\
          \x20 next probe once the soft deadline passes; Ctrl-C stops the same\n\
@@ -274,10 +270,8 @@ fn print_usage() {
 }
 
 /// Installs the process-wide evaluation engine from the global
-/// `--threads` / `--no-cache` / `--no-incremental` / `--no-soa` flags.
-/// Must run before
-/// the first optimization — the first probe materializes the default
-/// context.
+/// `--threads` / `--no-cache` flags. Must run before the first
+/// optimization — the first probe materializes the default context.
 fn install_engine(flags: &Flags<'_>) -> Result<(), String> {
     let threads = flags.get_usize("--threads", minpower::opt::context::default_threads())?;
     if threads == 0 {
@@ -288,11 +282,7 @@ fn install_engine(flags: &Flags<'_>) -> Result<(), String> {
     } else {
         minpower::opt::context::DEFAULT_CACHE_CAPACITY
     };
-    minpower::EvalContext::install(
-        minpower::EvalContext::new(threads, capacity)
-            .with_incremental(!flags.has("--no-incremental"))
-            .with_soa(!flags.has("--no-soa")),
-    );
+    minpower::EvalContext::install(minpower::EvalContext::new(threads, capacity));
     Ok(())
 }
 
@@ -308,10 +298,10 @@ struct Flags<'a> {
 }
 
 /// Flags that take no value; every other `--flag` consumes one token.
-const BOOLEAN_FLAGS: &[&str] = &["--no-cache", "--no-incremental", "--no-soa", "--worker"];
+const BOOLEAN_FLAGS: &[&str] = &["--no-cache", "--worker"];
 
 /// Evaluation-engine flags accepted by every command.
-const ENGINE_FLAGS: &[&str] = &["--threads", "--no-cache", "--no-incremental", "--no-soa"];
+const ENGINE_FLAGS: &[&str] = &["--threads", "--no-cache"];
 
 fn flag_takes_value(flag: &str) -> bool {
     !BOOLEAN_FLAGS.contains(&flag)
@@ -923,4 +913,29 @@ fn convert(args: &[String]) -> Result<(), CliError> {
         netlist.outputs().len()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The sizer has one evaluation path, so the old `--no-…` switches
+    /// for its scalar sweep and dense repair loops are gone: they must
+    /// fail as unknown flags rather than run silently.
+    #[test]
+    fn removed_engine_flags_are_unknown_flag_usage_errors() {
+        for flag in ["soa", "incremental"].map(|path| format!("--no-{path}")) {
+            let err = run(&args(&["optimize", "s27", &flag])).expect_err(&flag);
+            assert_eq!(err.exit_code(), 2, "{flag}: {}", err.message());
+            assert!(
+                err.message().contains(&format!("unknown flag `{flag}`")),
+                "{flag}: {}",
+                err.message()
+            );
+        }
+    }
 }

@@ -1,7 +1,8 @@
-//! Transactional incremental evaluation for the width-sizing inner loops.
+//! Transactional incremental evaluation: the one evaluation path of the
+//! width-sizing repair loops, the greedy (TILOS) move loop, and the
+//! interactive sessions.
 //!
-//! [`IncrementalEval`] bundles the three delta layers built for the
-//! sizing hot path:
+//! [`IncrementalEval`] bundles the delta layers built for those loops:
 //!
 //! * [`CircuitModel::update_delays_after_width_change_with`] repairs the
 //!   self-consistent per-gate delay vector over the affected cone only
@@ -15,72 +16,59 @@
 //!
 //! Every layer stops propagation on *bitwise* change only, so the state
 //! after any sequence of probes is exactly — bit for bit — what a dense
-//! recompute would produce. That is the contract the `--no-incremental`
-//! escape hatch and the determinism suite check.
+//! recompute would produce. The unit tests below check that against a
+//! dense delay and arrival pass; the golden sizing fixtures in
+//! `tests/fixtures/` freeze the end-to-end results.
 //!
-//! The API is a single-slot transaction: [`try_width`] opens a probe
-//! (applies the width, repairs delays, commits the STA), then exactly one
-//! of [`accept`] or [`revert`] closes it. A revert replays the delay
-//! journal in reverse and undoes the STA commit, restoring the pre-probe
-//! state bit-exactly without recomputation.
+//! The API is a single-slot transaction: [`try_width`] (or [`try_vt`])
+//! opens a probe (applies the edit, repairs delays, commits the STA), then
+//! exactly one of [`accept`] or [`revert`] closes it. A revert replays the
+//! delay journal in reverse and undoes the STA commit, restoring the
+//! pre-probe state bit-exactly without recomputation.
+//!
+//! The evaluator does not borrow its [`CircuitModel`]: each call that
+//! evaluates the device model takes it as an argument, so an owner (a
+//! session) can replace the model between calls. Callers count commits
+//! into their own telemetry ([`count_commit`]).
 //!
 //! [`try_width`]: IncrementalEval::try_width
+//! [`try_vt`]: IncrementalEval::try_vt
 //! [`accept`]: IncrementalEval::accept
 //! [`revert`]: IncrementalEval::revert
 
-use std::sync::Arc;
-
 use minpower_engine::EngineStats;
 use minpower_models::{CircuitModel, Design};
-use minpower_netlist::{GateId, Netlist};
+use minpower_netlist::GateId;
 use minpower_timing::{Commit, IncrementalSta};
 
-/// Computes arrival times for `delays` into a reused buffer: the shared
-/// forward pass of the full (non-incremental) sizing paths.
-pub(crate) fn arrivals_into(netlist: &Netlist, delays: &[f64], arrival: &mut Vec<f64>) {
-    arrival.clear();
-    arrival.resize(delays.len(), 0.0);
-    for &id in netlist.topological_order() {
-        let i = id.index();
-        let latest = netlist
-            .gate(id)
-            .fanin()
-            .iter()
-            .map(|f| arrival[f.index()])
-            .fold(0.0, f64::max);
-        arrival[i] = latest + delays[i];
+/// Counts one probe's commit into the engine telemetry (commit + gates
+/// touched + fallback).
+pub(crate) fn count_commit(stats: &EngineStats, commit: Commit) {
+    stats.count_incremental(u64::from(commit.gates_touched));
+    if commit.fallback {
+        stats.count_fallback();
     }
 }
 
-/// A design + self-consistent delays + persistent STA, advanced one width
-/// probe at a time.
-pub(crate) struct IncrementalEval<'a> {
-    model: &'a CircuitModel,
-    stats: Arc<EngineStats>,
+/// A design + self-consistent delays + persistent STA, advanced one probe
+/// at a time.
+pub(crate) struct IncrementalEval {
     design: Design,
     delays: Vec<f64>,
     sta: IncrementalSta,
-    /// `(gate, previous_delay)` overwrites of the open probe, in apply
+    /// `(gate, previous_delay)` overwrites of the last probe, in apply
     /// order; replayed in reverse on revert.
     journal: Vec<(u32, f64)>,
-    /// `(gate, previous_width)` of the open probe, if any.
-    open: Option<(usize, f64)>,
+    /// `(gate, previous_width, previous_vt)` of the open probe, if any.
+    open: Option<(usize, f64, f64)>,
 }
 
-impl<'a> IncrementalEval<'a> {
+impl IncrementalEval {
     /// Starts from `design` and its already-self-consistent `delays`
     /// (i.e. bitwise what [`CircuitModel::delays`] returns for `design`).
-    pub fn new(
-        model: &'a CircuitModel,
-        design: Design,
-        delays: Vec<f64>,
-        cycle_time: f64,
-        stats: Arc<EngineStats>,
-    ) -> Self {
+    pub fn new(model: &CircuitModel, design: Design, delays: Vec<f64>, cycle_time: f64) -> Self {
         let sta = IncrementalSta::forward_only(model.netlist(), &delays, cycle_time);
         IncrementalEval {
-            model,
-            stats,
             design,
             delays,
             sta,
@@ -91,19 +79,40 @@ impl<'a> IncrementalEval<'a> {
 
     /// Opens a probe: sets gate `gate`'s width to `w`, repairs the delay
     /// vector over the affected cone, and commits the arrival update.
-    /// Counted into the engine telemetry (commit + gates touched +
-    /// fallback).
     ///
     /// # Panics
     ///
     /// Panics if a probe is already open.
-    pub fn try_width(&mut self, gate: usize, w: f64) -> Commit {
-        assert!(self.open.is_none(), "a width probe is already open");
-        self.open = Some((gate, self.design.width[gate]));
+    pub fn try_width(&mut self, model: &CircuitModel, gate: usize, w: f64) -> Commit {
+        self.open_probe(gate);
         self.design.width[gate] = w;
+        self.repair(model, gate)
+    }
+
+    /// Opens a probe that sets gate `gate`'s threshold to `vt`. A
+    /// threshold moves only the gate's own drive and leakage (its
+    /// drivers' delays recompute to the same bits), so the width-change
+    /// repair cone is exactly the threshold-change cone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a probe is already open.
+    pub fn try_vt(&mut self, model: &CircuitModel, gate: usize, vt: f64) -> Commit {
+        self.open_probe(gate);
+        self.design.vt[gate] = vt;
+        self.repair(model, gate)
+    }
+
+    fn open_probe(&mut self, gate: usize) {
+        assert!(self.open.is_none(), "a probe is already open");
+        self.open = Some((gate, self.design.width[gate], self.design.vt[gate]));
+    }
+
+    /// Repairs the delays after an edit of `gate` and commits the STA.
+    fn repair(&mut self, model: &CircuitModel, gate: usize) -> Commit {
         self.journal.clear();
         let journal = &mut self.journal;
-        self.model.update_delays_after_width_change_with(
+        model.update_delays_after_width_change_with(
             &self.design,
             &mut self.delays,
             GateId::new(gate),
@@ -113,13 +122,12 @@ impl<'a> IncrementalEval<'a> {
             self.sta
                 .set_delay(GateId::new(idx as usize), self.delays[idx as usize]);
         }
-        let commit = self.sta.commit();
-        self.stats
-            .count_incremental(u64::from(commit.gates_touched));
-        if commit.fallback {
-            self.stats.count_fallback();
-        }
-        commit
+        self.sta.commit()
+    }
+
+    /// Delay entries the last probe repaired (overwrote).
+    pub fn repaired(&self) -> usize {
+        self.journal.len()
     }
 
     /// Keeps the open probe's state.
@@ -131,25 +139,55 @@ impl<'a> IncrementalEval<'a> {
         self.open.take().expect("no open probe to accept");
     }
 
-    /// Discards the open probe: restores the width, replays the delay
-    /// journal in reverse, and undoes the STA commit — bit-exact.
+    /// Discards the open probe: restores the width and threshold, replays
+    /// the delay journal in reverse, and undoes the STA commit —
+    /// bit-exact.
     ///
     /// # Panics
     ///
     /// Panics if no probe is open.
     pub fn revert(&mut self) {
-        let (gate, w_old) = self.open.take().expect("no open probe to revert");
+        let (gate, w_old, vt_old) = self.open.take().expect("no open probe to revert");
         self.design.width[gate] = w_old;
+        self.design.vt[gate] = vt_old;
         for &(idx, old) in self.journal.iter().rev() {
             self.delays[idx as usize] = old;
         }
         self.sta.undo();
     }
 
+    /// Rebuilds the state densely after an edit the cone repair does not
+    /// cover (a new supply, a new model, a new cycle time): recomputes
+    /// every delay from `model` and re-runs the forward STA.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a probe is open.
+    pub fn rebuild(&mut self, model: &CircuitModel, cycle_time: f64) {
+        assert!(self.open.is_none(), "a probe is still open");
+        model.delays_into(&self.design, &mut self.delays);
+        self.sta = IncrementalSta::forward_only(model.netlist(), &self.delays, cycle_time);
+    }
+
     /// The current design (post-accept state, or the probe's trial state
     /// while one is open).
     pub fn design(&self) -> &Design {
         &self.design
+    }
+
+    /// The design, for edits followed by [`rebuild`](Self::rebuild).
+    pub fn design_mut(&mut self) -> &mut Design {
+        &mut self.design
+    }
+
+    /// Current self-consistent per-gate delays.
+    pub fn delays(&self) -> &[f64] {
+        &self.delays
+    }
+
+    /// The persistent arrival analysis.
+    pub fn sta(&self) -> &IncrementalSta {
+        &self.sta
     }
 
     /// Current per-gate arrival times.
@@ -169,7 +207,7 @@ impl<'a> IncrementalEval<'a> {
     ///
     /// Panics if a probe is still open.
     pub fn into_design(self) -> Design {
-        assert!(self.open.is_none(), "a width probe is still open");
+        assert!(self.open.is_none(), "a probe is still open");
         self.design
     }
 }
@@ -179,7 +217,24 @@ mod tests {
     use super::*;
     use crate::context::EvalContext;
     use minpower_device::Technology;
-    use minpower_netlist::{GateKind, NetlistBuilder};
+    use minpower_netlist::{GateKind, Netlist, NetlistBuilder};
+
+    /// Dense arrival times for `delays`: the reference the incremental
+    /// arrivals must match bitwise.
+    fn arrivals_into(netlist: &Netlist, delays: &[f64], arrival: &mut Vec<f64>) {
+        arrival.clear();
+        arrival.resize(delays.len(), 0.0);
+        for &id in netlist.topological_order() {
+            let i = id.index();
+            let latest = netlist
+                .gate(id)
+                .fanin()
+                .iter()
+                .map(|f| arrival[f.index()])
+                .fold(0.0, f64::max);
+            arrival[i] = latest + delays[i];
+        }
+    }
 
     fn setup() -> (CircuitModel, Design) {
         let mut b = NetlistBuilder::new("t");
@@ -200,12 +255,15 @@ mod tests {
         let (model, design) = setup();
         let ctx = EvalContext::new(1, 0);
         let delays = model.delays(&design);
-        let mut eval = IncrementalEval::new(&model, design, delays, 1e-9, ctx.stats().clone());
+        let mut eval = IncrementalEval::new(&model, design, delays, 1e-9);
         for (step, gate) in [(1.4f64, 2usize), (2.2, 3), (1.1, 4), (3.0, 2)] {
             let w = eval.design().width[gate] * step;
-            eval.try_width(gate, w);
+            count_commit(ctx.stats(), eval.try_width(&model, gate, w));
             eval.accept();
             let dense_delays = model.delays(eval.design());
+            for (i, (a, b)) in eval.delays().iter().zip(&dense_delays).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "delay[{i}]");
+            }
             let mut dense_arrival = Vec::new();
             arrivals_into(model.netlist(), &dense_delays, &mut dense_arrival);
             for (i, (a, b)) in eval.arrivals().iter().zip(&dense_arrival).enumerate() {
@@ -219,16 +277,17 @@ mod tests {
     #[test]
     fn reverted_probes_restore_state_bit_exactly() {
         let (model, design) = setup();
-        let ctx = EvalContext::new(1, 0);
         let delays = model.delays(&design);
-        let before_widths = design.width.clone();
+        let before_design = design.clone();
         let before_delays = delays.clone();
-        let mut eval = IncrementalEval::new(&model, design, delays, 1e-9, ctx.stats().clone());
+        let mut eval = IncrementalEval::new(&model, design, delays, 1e-9);
         let before_arrival = eval.arrivals().to_vec();
-        eval.try_width(3, 9.0);
+        eval.try_width(&model, 3, 9.0);
         eval.revert();
-        assert_eq!(eval.design().width, before_widths);
-        for (a, b) in eval.delays.iter().zip(&before_delays) {
+        eval.try_vt(&model, 4, 0.2);
+        eval.revert();
+        assert_eq!(eval.design(), &before_design);
+        for (a, b) in eval.delays().iter().zip(&before_delays) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         for (a, b) in eval.arrivals().iter().zip(&before_arrival) {
@@ -241,14 +300,8 @@ mod tests {
     fn double_open_probe_panics() {
         let (model, design) = setup();
         let delays = model.delays(&design);
-        let mut eval = IncrementalEval::new(
-            &model,
-            design,
-            delays,
-            1e-9,
-            EvalContext::new(1, 0).stats().clone(),
-        );
-        eval.try_width(2, 3.0);
-        eval.try_width(3, 3.0);
+        let mut eval = IncrementalEval::new(&model, design, delays, 1e-9);
+        eval.try_width(&model, 2, 3.0);
+        eval.try_width(&model, 3, 3.0);
     }
 }

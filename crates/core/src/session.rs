@@ -3,8 +3,9 @@
 //!
 //! A cold optimization job answers one question per netlist load; a
 //! *session* keeps the expensive artifacts — the [`CircuitModel`], a
-//! self-consistent delay vector, a warm [`IncrementalSta`], and an
-//! [`EnergyLedger`] — alive between questions, so "what if this gate
+//! self-consistent delay vector and a warm incremental STA (the sizing
+//! loops' `IncrementalEval` transaction), and an [`EnergyLedger`] —
+//! alive between questions, so "what if this gate
 //! were 2× wider" or "what if `f_c` moved to 400 MHz" costs one
 //! dirty-cone repair instead of a full dense evaluation. The design
 //! follows the same discipline as the sizing inner loops (PR 2): every
@@ -20,9 +21,9 @@
 //!   bit-exact.
 //! - [`SessionState`] — the warm state and the per-op incremental
 //!   strategies: width/vt edits run the journaled delay repair +
-//!   `IncrementalSta` commit + ledger refresh; operating-point edits
-//!   rebuild only the invalidated artifact (ledger for `f_c` and
-//!   activity, everything for `V_dd`); structural edits rebuild
+//!   incremental STA commit + ledger refresh; operating-point edits
+//!   rebuild only the invalidated artifacts (the ledger for activity,
+//!   delays, STA and ledger for `f_c` and `V_dd`); structural edits rebuild
 //!   densely (the wire model is a function of gate count, so the
 //!   whole delay surface legitimately moves).
 //! - The **op-log**: `append_op` writes one CRC-framed record per
@@ -50,6 +51,7 @@ use minpower_models::{CircuitModel, Design, EnergyBreakdown, EnergyLedger};
 use minpower_netlist::{GateId, GateKind, Netlist, NetlistBuilder};
 use minpower_timing::IncrementalSta;
 
+use crate::incremental::IncrementalEval;
 use crate::json::{self, Value};
 
 /// Input switching probability used for every session model, matching
@@ -466,14 +468,14 @@ pub struct OpOutcome {
 pub struct SessionState {
     tech: Technology,
     model: CircuitModel,
-    design: Design,
     fc: f64,
     activity: f64,
     skew: f64,
     default_vt: f64,
     default_width: f64,
-    delays: Vec<f64>,
-    sta: IncrementalSta,
+    /// Design, self-consistent delays and forward STA, edited through
+    /// the same probe transaction the sizing repair loops use.
+    eval: IncrementalEval,
     ledger: EnergyLedger,
     dirty: BTreeSet<String>,
     revision: u64,
@@ -498,19 +500,17 @@ impl SessionState {
         );
         let mut delays = Vec::new();
         model.delays_into(&design, &mut delays);
-        let sta = IncrementalSta::forward_only(model.netlist(), &delays, params.skew / params.fc);
         let ledger = model.energy_ledger(&design, params.fc);
+        let eval = IncrementalEval::new(&model, design, delays, params.skew / params.fc);
         Ok(SessionState {
             tech,
             model,
-            design,
             fc: params.fc,
             activity: params.activity,
             skew: params.skew,
             default_vt: params.vt,
             default_width: params.width,
-            delays,
-            sta,
+            eval,
             ledger,
             dirty: BTreeSet::new(),
             revision: 0,
@@ -555,18 +555,17 @@ impl SessionState {
             SessionOp::SetVt { gate, vt } => {
                 let id = self.logic_gate(gate, "set_vt")?;
                 check_range("vt", *vt, self.tech.vt_range)?;
-                self.design.vt[id.index()] = *vt;
-                // Vt moves the gate's own drive and leakage; its fanins'
-                // delays recompute to the same bits, so the width-change
-                // repair cone is exactly the vt-change cone.
-                let touched = self.repair_from(id);
-                self.ledger.on_width_change(&self.model, &self.design, id);
+                self.eval.try_vt(&self.model, id.index(), *vt);
+                self.eval.accept();
+                self.ledger
+                    .on_width_change(&self.model, self.eval.design(), id);
                 self.dirty.insert(gate.clone());
+                let touched = self.eval.repaired();
                 (touched, 0)
             }
             SessionOp::SetVdd { vdd } => {
                 check_range("vdd", *vdd, self.tech.vdd_range)?;
-                self.design.vdd = *vdd;
+                self.eval.design_mut().vdd = *vdd;
                 self.rebuild_dense();
                 self.mark_all_dirty();
                 (self.model.netlist().gate_count(), 0)
@@ -576,14 +575,9 @@ impl SessionState {
                     return Err(SessionError::new("`fc` must be finite and positive"));
                 }
                 self.fc = *fc;
-                // Delays are untouched; only the constraint and the
-                // static-energy terms (∝ 1/fc) move.
-                self.sta = IncrementalSta::forward_only(
-                    self.model.netlist(),
-                    &self.delays,
-                    self.cycle_time(),
-                );
-                self.ledger = self.model.energy_ledger(&self.design, self.fc);
+                // Delays recompute to the same bits; only the constraint
+                // and the static-energy terms (∝ 1/fc) move.
+                self.rebuild_dense();
                 self.mark_all_dirty();
                 (0, 0)
             }
@@ -601,7 +595,7 @@ impl SessionState {
                     ACTIVITY_PROBABILITY,
                     *activity,
                 );
-                self.ledger = self.model.energy_ledger(&self.design, self.fc);
+                self.ledger = self.model.energy_ledger(self.eval.design(), self.fc);
                 self.mark_all_dirty();
                 (0, 0)
             }
@@ -637,8 +631,8 @@ impl SessionState {
             revision: self.revision,
             gates_touched,
             resized,
-            feasible: self.sta.meets_constraint(),
-            critical_delay: self.sta.critical_delay(),
+            feasible: self.eval.sta().meets_constraint(),
+            critical_delay: self.eval.sta().critical_delay(),
             cycle_time: self.cycle_time(),
             energy: self.ledger.exact_total(),
             dirty: self.dirty.len(),
@@ -660,57 +654,22 @@ impl SessionState {
         Ok(id)
     }
 
-    /// Journaled delay repair from `id` + staged STA commit. Returns
-    /// how many delay entries moved.
-    fn repair_from(&mut self, id: GateId) -> usize {
-        let mut staged: Vec<u32> = Vec::new();
-        self.model.update_delays_after_width_change_with(
-            &self.design,
-            &mut self.delays,
-            id,
-            |i, _| staged.push(i as u32),
-        );
-        for &i in &staged {
-            self.sta
-                .set_delay(GateId::new(i as usize), self.delays[i as usize]);
-        }
-        let _ = self.sta.commit();
-        staged.len()
-    }
-
-    /// Applies a width permanently: repair + ledger refresh.
+    /// Applies a width permanently: repair + ledger refresh. Returns how
+    /// many delay entries moved.
     fn commit_width(&mut self, id: GateId, w: f64) -> usize {
-        self.design.width[id.index()] = w;
-        let touched = self.repair_from(id);
-        self.ledger.on_width_change(&self.model, &self.design, id);
-        touched
+        self.eval.try_width(&self.model, id.index(), w);
+        self.eval.accept();
+        self.ledger
+            .on_width_change(&self.model, self.eval.design(), id);
+        self.eval.repaired()
     }
 
     /// Trial width probe: applies, checks feasibility, reverts
-    /// bit-exactly (restore width, replay the journal in reverse, undo
-    /// the STA commit) — the `IncrementalEval::try_width`/`revert`
-    /// transaction inlined over owned state.
-    fn probe_feasible(&mut self, id: GateId, w: f64) -> bool {
-        let old_w = self.design.width[id.index()];
-        self.design.width[id.index()] = w;
-        let mut journal: Vec<(u32, f64)> = Vec::new();
-        self.model.update_delays_after_width_change_with(
-            &self.design,
-            &mut self.delays,
-            id,
-            |i, old| journal.push((i as u32, old)),
-        );
-        for &(i, _) in &journal {
-            self.sta
-                .set_delay(GateId::new(i as usize), self.delays[i as usize]);
-        }
-        let _ = self.sta.commit();
-        let feasible = self.sta.meets_constraint();
-        self.design.width[id.index()] = old_w;
-        for &(i, old) in journal.iter().rev() {
-            self.delays[i as usize] = old;
-        }
-        self.sta.undo();
+    /// bit-exactly.
+    fn feasible_at_width(&mut self, id: GateId, w: f64) -> bool {
+        self.eval.try_width(&self.model, id.index(), w);
+        let feasible = self.eval.sta().meets_constraint();
+        self.eval.revert();
         feasible
     }
 
@@ -732,16 +691,16 @@ impl SessionState {
         let mut touched = 0usize;
         let mut resized = 0usize;
         for id in cone {
-            let current = self.design.width[id.index()];
-            let chosen = if self.probe_feasible(id, w_min) {
+            let current = self.eval.design().width[id.index()];
+            let chosen = if self.feasible_at_width(id, w_min) {
                 w_min
-            } else if !self.probe_feasible(id, w_max) {
+            } else if !self.feasible_at_width(id, w_max) {
                 current
             } else {
                 let (mut lo, mut hi) = (w_min, w_max);
                 for _ in 0..steps {
                     let mid = 0.5 * (lo + hi);
-                    if self.probe_feasible(id, mid) {
+                    if self.feasible_at_width(id, mid) {
                         hi = mid;
                     } else {
                         lo = mid;
@@ -794,8 +753,9 @@ impl SessionState {
         let refs: Vec<&str> = fanin.iter().map(String::as_str).collect();
         b.gate(name, kind, &refs).map_err(to_session_error)?;
         let netlist = b.finish().map_err(to_session_error)?;
-        self.design.vt.push(self.default_vt);
-        self.design.width.push(self.default_width);
+        let design = self.eval.design_mut();
+        design.vt.push(self.default_vt);
+        design.width.push(self.default_width);
         self.model = CircuitModel::with_uniform_activity(
             &netlist,
             self.tech.clone(),
@@ -867,8 +827,9 @@ impl SessionState {
         }
         b.record_flip_flops(old.flip_flop_count());
         let netlist = b.finish().map_err(to_session_error)?;
-        self.design.vt.remove(id.index());
-        self.design.width.remove(id.index());
+        let design = self.eval.design_mut();
+        design.vt.remove(id.index());
+        design.width.remove(id.index());
         self.model = CircuitModel::with_uniform_activity(
             &netlist,
             self.tech.clone(),
@@ -1002,7 +963,7 @@ impl SessionState {
                 .map(|(i, g)| {
                     (
                         g.name().to_string(),
-                        (self.design.vt[i], self.design.width[i]),
+                        (self.eval.design().vt[i], self.eval.design().width[i]),
                     )
                 })
                 .collect();
@@ -1070,8 +1031,9 @@ impl SessionState {
             vt.push(v);
             width.push(w);
         }
-        self.design.vt = vt;
-        self.design.width = width;
+        let design = self.eval.design_mut();
+        design.vt = vt;
+        design.width = width;
         self.model = CircuitModel::with_uniform_activity(
             &netlist,
             self.tech.clone(),
@@ -1085,10 +1047,8 @@ impl SessionState {
     /// Dense rebuild of delays, STA, and ledger from the current model
     /// and design.
     fn rebuild_dense(&mut self) {
-        self.model.delays_into(&self.design, &mut self.delays);
-        self.sta =
-            IncrementalSta::forward_only(self.model.netlist(), &self.delays, self.cycle_time());
-        self.ledger = self.model.energy_ledger(&self.design, self.fc);
+        self.eval.rebuild(&self.model, self.cycle_time());
+        self.ledger = self.model.energy_ledger(self.eval.design(), self.fc);
     }
 
     fn mark_all_dirty(&mut self) {
@@ -1101,13 +1061,17 @@ impl SessionState {
 
     /// The dense cross-check: the warm delay vector, arrival times,
     /// and ledger total must be bitwise-identical to a from-scratch
-    /// evaluation — the same discipline as the SoA scalar cross-check.
+    /// evaluation — the bit-identity contract of the incremental layers.
     /// Debug builds run this after every op.
     pub fn cross_check(&self) {
         let mut dense = Vec::new();
-        self.model.delays_into(&self.design, &mut dense);
-        assert_eq!(dense.len(), self.delays.len(), "delay vector length drift");
-        for (i, (&d, &w)) in dense.iter().zip(self.delays.iter()).enumerate() {
+        self.model.delays_into(self.design(), &mut dense);
+        assert_eq!(
+            dense.len(),
+            self.delays().len(),
+            "delay vector length drift"
+        );
+        for (i, (&d, &w)) in dense.iter().zip(self.delays().iter()).enumerate() {
             assert_eq!(
                 d.to_bits(),
                 w.to_bits(),
@@ -1119,7 +1083,7 @@ impl SessionState {
         for (i, (&a, &b)) in dense_sta
             .arrivals()
             .iter()
-            .zip(self.sta.arrivals().iter())
+            .zip(self.arrivals().iter())
             .enumerate()
         {
             assert_eq!(
@@ -1130,10 +1094,10 @@ impl SessionState {
         }
         assert_eq!(
             dense_sta.critical_delay().to_bits(),
-            self.sta.critical_delay().to_bits(),
+            self.critical_delay().to_bits(),
             "session critical-delay drift"
         );
-        let dense_total = self.model.total_energy(&self.design, self.fc);
+        let dense_total = self.model.total_energy(self.design(), self.fc);
         let exact = self.ledger.exact_total();
         assert_eq!(
             dense_total.static_.to_bits(),
@@ -1145,7 +1109,7 @@ impl SessionState {
             exact.dynamic.to_bits(),
             "session dynamic-energy drift"
         );
-        self.sta.assert_consistent();
+        self.eval.sta().assert_consistent();
     }
 
     /// Effective cycle time, `skew / fc` (matches
@@ -1166,27 +1130,27 @@ impl SessionState {
 
     /// The current design point.
     pub fn design(&self) -> &Design {
-        &self.design
+        self.eval.design()
     }
 
     /// Current self-consistent per-gate delays.
     pub fn delays(&self) -> &[f64] {
-        &self.delays
+        self.eval.delays()
     }
 
     /// Current per-gate arrival times.
     pub fn arrivals(&self) -> &[f64] {
-        self.sta.arrivals()
+        self.eval.arrivals()
     }
 
     /// Current critical path delay, seconds.
     pub fn critical_delay(&self) -> f64 {
-        self.sta.critical_delay()
+        self.eval.sta().critical_delay()
     }
 
     /// Whether the circuit meets the cycle-time constraint.
     pub fn feasible(&self) -> bool {
-        self.sta.meets_constraint()
+        self.eval.sta().meets_constraint()
     }
 
     /// Exact (index-order) energy per cycle; bitwise-identical to
@@ -1266,15 +1230,15 @@ impl SessionState {
             ("fc".into(), json::bits_f64(self.fc)),
             ("activity".into(), json::bits_f64(self.activity)),
             ("skew".into(), json::bits_f64(self.skew)),
-            ("vdd".into(), json::bits_f64(self.design.vdd)),
+            ("vdd".into(), json::bits_f64(self.design().vdd)),
             ("default_vt".into(), json::bits_f64(self.default_vt)),
             ("default_width".into(), json::bits_f64(self.default_width)),
             ("netlist_name".into(), Value::Str(n.name().to_string())),
             ("gates".into(), Value::Arr(gates)),
             ("outputs".into(), Value::Arr(outputs)),
             ("flip_flops".into(), Value::Int(n.flip_flop_count() as u64)),
-            ("vt".into(), json::bits_f64_array(&self.design.vt)),
-            ("width".into(), json::bits_f64_array(&self.design.width)),
+            ("vt".into(), json::bits_f64_array(&self.design().vt)),
+            ("width".into(), json::bits_f64_array(&self.design().width)),
             (
                 "dirty".into(),
                 Value::Arr(self.dirty.iter().map(|s| Value::Str(s.clone())).collect()),
@@ -1343,8 +1307,9 @@ impl SessionState {
             ));
         }
         let mut state = SessionState::new(netlist, &params)?;
-        state.design.vt = vt;
-        state.design.width = width;
+        let design = state.eval.design_mut();
+        design.vt = vt;
+        design.width = width;
         state.rebuild_dense();
         state.revision = obj.req("revision")?.as_u64("revision")?;
         for d in obj.req("dirty")?.as_arr("dirty")? {

@@ -10,37 +10,11 @@
 use std::sync::Arc;
 
 use minpower_core::context::DEFAULT_CACHE_CAPACITY;
-use minpower_core::{yield_mc, EvalContext, Optimizer, Problem, SearchOptions, SizingMethod};
-use minpower_device::Technology;
-use minpower_models::CircuitModel;
-use minpower_netlist::{GateKind, Netlist, NetlistBuilder};
+use minpower_core::{yield_mc, EvalContext, Optimizer, SearchOptions, SizingMethod};
 
-/// A two-output network deep and reconvergent enough that Procedure 2
-/// probes a few hundred operating points.
-fn netlist() -> Netlist {
-    let mut b = NetlistBuilder::new("det");
-    for name in ["a", "b", "c", "d"] {
-        b.input(name).unwrap();
-    }
-    b.gate("n1", GateKind::Nand, &["a", "b"]).unwrap();
-    b.gate("n2", GateKind::Nor, &["b", "c"]).unwrap();
-    b.gate("n3", GateKind::Nand, &["c", "d"]).unwrap();
-    b.gate("m1", GateKind::Nor, &["n1", "n2"]).unwrap();
-    b.gate("m2", GateKind::Nand, &["n2", "n3"]).unwrap();
-    b.gate("m3", GateKind::Nand, &["m1", "m2"]).unwrap();
-    b.gate("m4", GateKind::Nor, &["m1", "n3"]).unwrap();
-    b.gate("y1", GateKind::Not, &["m3"]).unwrap();
-    b.gate("y2", GateKind::Nand, &["m3", "m4"]).unwrap();
-    b.output("y1").unwrap();
-    b.output("y2").unwrap();
-    b.finish().unwrap()
-}
+mod golden;
 
-fn problem() -> Problem {
-    let n = netlist();
-    let model = CircuitModel::with_uniform_activity(&n, Technology::dac97(), 0.5, 0.3);
-    Problem::new(model, 250.0e6)
-}
+use golden::det_problem as problem;
 
 #[test]
 fn cache_on_and_off_produce_identical_results() {
@@ -122,33 +96,25 @@ fn engine_choices_commute_with_search_options() {
 fn incremental_and_full_paths_produce_identical_results() {
     // The incremental evaluation layer (journaled delay repair,
     // dirty-worklist arrival propagation, delta-maintained energy terms)
-    // must be bit-identical to dense recomputation: same energy, same
-    // widths, same critical delay — for both sizing engines, any thread
-    // count, cache on or off.
-    let p = problem();
+    // must land on the bits the dense-recompute reference produced when
+    // the golden fixture was frozen: same energy, same widths, same
+    // critical delay — for both sizing engines, any thread count, cache
+    // on or off.
+    let fixture = golden::fixture();
     for sizing in [SizingMethod::Budgeted, SizingMethod::Greedy] {
-        let opts = SearchOptions {
-            sizing,
-            ..SearchOptions::default()
-        };
-        let reference = Optimizer::new(&p)
-            .with_options(opts.clone())
-            .with_engine(Arc::new(EvalContext::new(1, 0).with_incremental(false)))
-            .run()
-            .unwrap();
+        let case = golden::case(&format!("det/optimize/{sizing:?}"));
+        let mut first = None;
         for threads in [1, 4] {
             for capacity in [0, DEFAULT_CACHE_CAPACITY] {
-                let ctx = Arc::new(EvalContext::new(threads, capacity).with_incremental(true));
-                let incremental = Optimizer::new(&p)
-                    .with_options(opts.clone())
-                    .with_engine(ctx.clone())
-                    .run()
-                    .unwrap();
+                let ctx = Arc::new(EvalContext::new(threads, capacity));
+                let result = case.run(ctx.clone());
+                golden::assert_golden(&fixture, &case.key, &result);
+                let first = first.get_or_insert_with(|| result.clone());
                 assert_eq!(
-                    reference, incremental,
+                    *first, result,
                     "sizing {sizing:?}, threads {threads}, cache {capacity}"
                 );
-                // The fast path must actually have run incrementally.
+                // The incremental layer must actually have run.
                 assert!(
                     ctx.snapshot().incremental_commits > 0,
                     "sizing {sizing:?}: no incremental commits recorded"
@@ -160,32 +126,7 @@ fn incremental_and_full_paths_produce_identical_results() {
 
 #[test]
 fn size_at_incremental_matches_full_at_fixed_operating_points() {
-    let p = problem();
-    for sizing in [SizingMethod::Budgeted, SizingMethod::Greedy] {
-        let opts = SearchOptions {
-            sizing,
-            ..SearchOptions::default()
-        };
-        for (vdd, vt) in [(2.5, 0.45), (1.8, 0.35), (3.3, 0.6)] {
-            let full = minpower_core::search::size_at_with(
-                Arc::new(EvalContext::new(1, 0).with_incremental(false)),
-                &p,
-                vdd,
-                vt,
-                &opts,
-            )
-            .unwrap();
-            let inc = minpower_core::search::size_at_with(
-                Arc::new(EvalContext::new(1, 0).with_incremental(true)),
-                &p,
-                vdd,
-                vt,
-                &opts,
-            )
-            .unwrap();
-            assert_eq!(full, inc, "sizing {sizing:?} at ({vdd}, {vt})");
-        }
-    }
+    golden::check_prefix("det/size_at/");
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! [`LevelizedCsr`] over the netlist) so a full delay/arrival/energy pass
 //! is a few tight sweeps over flat `f64` buffers.
 //!
-//! The kernel also batches the innermost loop of Procedure 2. The scalar
+//! The kernel also batches the innermost loop of Procedure 2. A scalar
 //! sizer bisects each gate's width with `M` sequential `gate_delay`
 //! probes, and every probe re-derives the gate's width-independent terms —
 //! two `powf`s, an `exp`/`ln_1p`, the wire RC fold. One sizing sweep is
@@ -25,8 +25,9 @@
 //! reassociating anything width-dependent, `off_current = w·leak_per_w`
 //! likewise — and per-gate fold orders (fanin order, fanout edge order,
 //! gate index order for energy sums) are preserved by construction.
-//! `minpower-core` cross-checks the batched sweep against the scalar one
-//! gate-for-gate in debug builds.
+//! The unit tests below check the batched sweep against a scalar
+//! gate-by-gate transcription bit for bit, and `minpower-core`'s golden
+//! sizing fixtures freeze the end-to-end results.
 
 use minpower_netlist::LevelizedCsr;
 
@@ -244,7 +245,7 @@ impl SoaKernel {
     /// constants — a handful of mul/add per probe instead of a full
     /// `gate_delay` with its two `powf`s.
     ///
-    /// Semantics are exactly the scalar sweep of the budgeted sizer: each
+    /// Semantics are exactly a scalar gate-by-gate sweep: each
     /// gate's width is bisected to the smallest value whose delay meets
     /// `budgets[i] * margin`, with the slope-term input
     /// `max(min(budget, 1.05 × last_delay))` over its fanins, the

@@ -26,6 +26,8 @@ pub struct Netlist {
     by_name: HashMap<String, GateId>,
     inputs: Vec<GateId>,
     outputs: Vec<GateId>,
+    /// `is_output[i]`: gate `i` is a declared primary output.
+    is_output: Vec<bool>,
     fanout: Vec<Vec<GateId>>,
     topo: Vec<GateId>,
     level: Vec<usize>,
@@ -88,12 +90,17 @@ impl Netlist {
             .map(|(i, g)| (g.name.clone(), GateId::new(i)))
             .collect();
 
+        let mut is_output = vec![false; n];
+        for o in &outputs {
+            is_output[o.index()] = true;
+        }
         Ok(Netlist {
             name,
             gates,
             by_name,
             inputs,
             outputs,
+            is_output,
             fanout,
             topo,
             level,
@@ -150,7 +157,7 @@ impl Netlist {
 
     /// Whether `id` is a declared primary output.
     pub fn is_output(&self, id: GateId) -> bool {
-        self.outputs.contains(&id)
+        self.is_output[id.index()]
     }
 
     /// Gates driven by `id` (the transpose adjacency).
