@@ -13,11 +13,15 @@
 //!   tests). The batched path bisects each gate against hoisted
 //!   per-lane constants, so the transcendental work (`powf`, `exp`) is
 //!   paid once per gate per sweep instead of once per probe — this is
-//!   the number the >= 2x acceptance target applies to.
+//!   the number the >= 2x acceptance target applies to. A third column
+//!   times the same sweeps split over one worker per CPU
+//!   (`size_sweep_threaded`); the row records the CPU count.
 //!
-//! Both paths are bit-identical by contract; every run here asserts it
-//! on the actual results (critical delay, widths). End-to-end sizing
-//! wall time is the repository benchmark's `rent_100k` workload.
+//! All paths are bit-identical by contract; every run here asserts it
+//! on the actual results (critical delay, widths). The smoke netlist
+//! has 10k gates, three sweep chunks, so the threaded sweep really
+//! splits. End-to-end sizing wall time is the repository benchmark's
+//! `rent_100k` workload.
 //!
 //! Run with:
 //!
@@ -25,7 +29,8 @@
 //! cargo bench --bench soa_kernel            # full 100k..1M measurement,
 //!                                           # rewrites BENCH_soa.json
 //! cargo bench --bench soa_kernel -- --smoke # small workload, CI: asserts
-//!                                           # bit-identity and that the
+//!                                           # bit-identity (threaded sweep
+//!                                           # included) and that the
 //!                                           # committed baseline still
 //!                                           # meets the 2x target
 //! ```
@@ -65,6 +70,7 @@ struct Row {
     dense_soa: f64,
     probe_serial: f64,
     probe_batched: f64,
+    probe_threaded: f64,
 }
 
 impl Row {
@@ -148,13 +154,14 @@ fn serial_sweep(
 
 /// Times `SWEEPS` coupled sizing sweeps (widths from minimum, budgets
 /// from Procedure 1, delays recomputed between sweeps) through either
-/// the batched kernel or the serial loop; returns the best wall over
-/// `iters` repeats and the final widths for the bit-identity check.
+/// the batched kernel on `Some(threads)` workers or the serial loop
+/// (`None`); returns the best wall over `iters` repeats and the final
+/// widths for the bit-identity check.
 fn time_probes(
     problem: &Problem,
     kernel: &SoaKernel,
     budgets: &[f64],
-    batched: bool,
+    batched: Option<usize>,
     iters: usize,
 ) -> (f64, Vec<f64>) {
     let model = problem.model();
@@ -169,8 +176,9 @@ fn time_probes(
         let mut sweep_delays = Vec::new();
         let t0 = Instant::now();
         for _ in 0..SWEEPS {
-            if batched {
-                kernel.size_sweep(
+            if let Some(threads) = batched {
+                kernel.size_sweep_threaded(
+                    threads,
                     &mut design,
                     budgets,
                     &last_delays,
@@ -229,13 +237,24 @@ fn measure(gates: usize, iters: usize) -> Row {
         problem.effective_cycle_time(),
         BudgetPolicy::FanoutWeighted,
     );
-    let (probe_serial, w_serial) = time_probes(&problem, &kernel, &budgets, false, iters);
-    let (probe_batched, w_batched) = time_probes(&problem, &kernel, &budgets, true, iters);
+    let (probe_serial, w_serial) = time_probes(&problem, &kernel, &budgets, None, iters);
+    let (probe_batched, w_batched) = time_probes(&problem, &kernel, &budgets, Some(1), iters);
+    let (probe_threaded, w_threaded) =
+        time_probes(&problem, &kernel, &budgets, Some(cpus()), iters);
     for (i, (a, b)) in w_batched.iter().zip(w_serial.iter()).enumerate() {
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
             "batched sweep diverged from serial at gate {i} of the {gates}-gate netlist"
+        );
+    }
+    for (i, (a, b)) in w_threaded.iter().zip(w_batched.iter()).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "threaded sweep ({} chunks) diverged from one worker at gate {i} of the \
+             {gates}-gate netlist",
+            kernel.sweep_chunks()
         );
     }
 
@@ -246,7 +265,12 @@ fn measure(gates: usize, iters: usize) -> Row {
         dense_soa,
         probe_serial,
         probe_batched,
+        probe_threaded,
     }
+}
+
+fn cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// In smoke mode the live timings are meaningless, so CI instead checks
@@ -292,21 +316,29 @@ fn check_committed_baseline(path: &Path) {
 fn main() {
     let smoke = minpower_bench::smoke_mode();
     let (sizes, iters): (Vec<usize>, usize) = if smoke {
-        (vec![4_000], 2)
+        (vec![10_000], 2)
     } else {
         (vec![100_000, 300_000, 1_000_000], 2)
     };
 
     println!("== SoA levelized kernel vs scalar path (vdd {VDD} V, vt {VT} V) ==");
     println!(
-        "{:>9} {:>6} {:>11} {:>11} {:>8} {:>11} {:>11} {:>8}",
-        "gates", "depth", "dense (s)", "soa (s)", "speedup", "serial (s)", "batched (s)", "speedup"
+        "{:>9} {:>6} {:>11} {:>11} {:>8} {:>11} {:>11} {:>8} {:>12}",
+        "gates",
+        "depth",
+        "dense (s)",
+        "soa (s)",
+        "speedup",
+        "serial (s)",
+        "batched (s)",
+        "speedup",
+        "threaded (s)"
     );
     let mut rows = Vec::new();
     for &gates in &sizes {
         let row = measure(gates, iters);
         println!(
-            "{:>9} {:>6} {:>11.6} {:>11.6} {:>7.2}x {:>11.4} {:>11.4} {:>7.2}x",
+            "{:>9} {:>6} {:>11.6} {:>11.6} {:>7.2}x {:>11.4} {:>11.4} {:>7.2}x {:>12.4}",
             row.gates,
             row.depth,
             row.dense_scalar,
@@ -315,6 +347,7 @@ fn main() {
             row.probe_serial,
             row.probe_batched,
             row.probe_speedup(),
+            row.probe_threaded,
         );
         rows.push(row);
     }
@@ -343,12 +376,7 @@ fn main() {
             Value::Str("minpower-bench-soa".to_string()),
         ),
         ("version".to_string(), Value::Int(1)),
-        (
-            "cpus".to_string(),
-            Value::Int(
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) as u64,
-            ),
-        ),
+        ("cpus".to_string(), Value::Int(cpus() as u64)),
         (
             "operating_point".to_string(),
             Value::Obj(vec![
@@ -382,6 +410,10 @@ fn main() {
                                 Value::Float(r.probe_batched),
                             ),
                             ("probe_speedup".to_string(), Value::Float(r.probe_speedup())),
+                            (
+                                "probe_threaded_secs".to_string(),
+                                Value::Float(r.probe_threaded),
+                            ),
                         ])
                     })
                     .collect(),

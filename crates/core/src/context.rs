@@ -4,7 +4,9 @@
 //! crate's call sites:
 //!
 //! * a `threads` knob consumed by the parallel call sites
-//!   ([`crate::yield_mc`] trials, the bench suite runner);
+//!   ([`crate::yield_mc`] trials, the bench suite runner, and the
+//!   budgeted sizer's width sweeps of netlists large enough to split —
+//!   see [`minpower_models::SoaKernel::size_sweep_threaded`]);
 //! * an optional [`EvalCache`] memoizing Procedure-2 probes — a probe is
 //!   keyed by `(V_dd, V⃗_ts)` plus a salt folding in the circuit
 //!   fingerprint, the cycle time, and every sizing option, and a hit

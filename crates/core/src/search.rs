@@ -370,7 +370,9 @@ impl<'a> Sizer<'a> {
         // every gate meets its contract then every actual delay is within
         // its budget, so only the load coupling (sink widths) remains for
         // the fixed-point sweeps to resolve. The kernel batches the
-        // per-gate bisections level by level.
+        // per-gate bisections and splits each sweep over the context's
+        // threads (same bits at any count); a netlist of one chunk sweeps
+        // on this thread.
         let kernel = self
             .soa
             .as_ref()
@@ -380,7 +382,8 @@ impl<'a> Sizer<'a> {
         let mut sweep_delays = Vec::new();
         let mut scratch = SizeScratch::new();
         for _sweep in 0..max_sweeps {
-            let max_rel_change = kernel.size_sweep(
+            let max_rel_change = kernel.size_sweep_threaded(
+                self.ctx.threads(),
                 &mut design,
                 &self.budgets,
                 &last_delays,

@@ -305,10 +305,15 @@ pub fn assert_golden(fixture: &BTreeMap<String, Row>, key: &str, result: &Optimi
 /// Runs every case whose key starts with `prefix` on a fresh
 /// single-thread, cache-off context and checks it against the fixture.
 pub fn check_prefix(prefix: &str) {
+    check_prefix_on(prefix, 1);
+}
+
+/// [`check_prefix`] on fresh cache-off contexts of `threads` threads.
+pub fn check_prefix_on(prefix: &str, threads: usize) {
     let fixture = fixture();
     let mut checked = 0;
     for case in cases().into_iter().filter(|c| c.key.starts_with(prefix)) {
-        let result = case.run(Arc::new(EvalContext::new(1, 0)));
+        let result = case.run(Arc::new(EvalContext::new(threads, 0)));
         assert_golden(&fixture, &case.key, &result);
         checked += 1;
     }

@@ -31,6 +31,16 @@ fn sizing_matches_golden_on_rent_10k() {
     golden::check_prefix("rent/10000");
 }
 
+/// The same rows sized on 2 and 3 threads: the 10k-gate netlist is three
+/// sweep chunks, so its width sweeps run split across workers.
+#[test]
+fn sizing_matches_golden_on_several_threads() {
+    for threads in [2, 3] {
+        golden::check_prefix_on("rent/10000", threads);
+        golden::check_prefix_on("repair/rent", threads);
+    }
+}
+
 /// Fixed points where the sweeps leave the critical path over the
 /// cycle time, so the incremental repair loop does real work.
 #[test]

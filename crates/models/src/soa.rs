@@ -13,11 +13,18 @@
 //! probes, and every probe re-derives the gate's width-independent terms —
 //! two `powf`s, an `exp`/`ln_1p`, the wire RC fold. One sizing sweep is
 //! embarrassingly independent across gates (each bisection reads only
-//! *previous-sweep* sink widths and the fixed budget vector), so
-//! [`SoaKernel::size_sweep`] hoists those invariants into per-level lane
-//! arrays once and runs each lane's `M` bisection steps against the
-//! hoisted constants — a handful of mul/add per probe instead of a full
-//! `gate_delay`.
+//! *pre-sweep* sink widths, the fixed budget vector and the gate's own
+//! threshold), so the sweep hoists those invariants once per gate — the
+//! threshold-only ones once per run of equal thresholds — and runs the
+//! gate's `M` bisection steps against the hoisted constants: a handful
+//! of mul/add per probe instead of a full `gate_delay`.
+//!
+//! There is one sweep routine, over chunks of [`SWEEP_CHUNK`] logic
+//! gates of the levelized order. [`SoaKernel::size_sweep_threaded`]
+//! hands the chunks to up to `threads` workers, each writing its chunk's
+//! new widths to a staging slice, and commits them after the join;
+//! [`SoaKernel::size_sweep`] is the same routine on the calling thread
+//! alone. The widths are the same bits at every thread count.
 //!
 //! Bit-identity contract: every method here produces bitwise the value of
 //! its [`CircuitModel`] counterpart. The hoists are exact — `drive_current
@@ -26,8 +33,11 @@
 //! likewise — and per-gate fold orders (fanin order, fanout edge order,
 //! gate index order for energy sums) are preserved by construction.
 //! The unit tests below check the batched sweep against a scalar
-//! gate-by-gate transcription bit for bit, and `minpower-core`'s golden
-//! sizing fixtures freeze the end-to-end results.
+//! gate-by-gate transcription bit for bit, under every partition and
+//! thread count, and `minpower-core`'s golden sizing fixtures freeze the
+//! end-to-end results.
+
+use std::sync::{Mutex, PoisonError};
 
 use minpower_netlist::LevelizedCsr;
 
@@ -57,6 +67,9 @@ pub struct SoaKernel {
     edge_c_int: Vec<f64>,
     edge_r_int: Vec<f64>,
     edge_flight: Vec<f64>,
+    /// The most fanout edges of any one gate (the sweep's per-worker
+    /// load-term buffer size).
+    max_fanout_edges: usize,
 }
 
 impl SoaKernel {
@@ -75,6 +88,7 @@ impl SoaKernel {
             edge_c_int: Vec::new(),
             edge_r_int: Vec::new(),
             edge_flight: Vec::new(),
+            max_fanout_edges: 0,
         };
         kernel.edge_offsets.push(0);
         for g in &model.info {
@@ -89,6 +103,7 @@ impl SoaKernel {
                 kernel.edge_flight.push(e.flight);
             }
             kernel.edge_offsets.push(kernel.edge_target.len() as u32);
+            kernel.max_fanout_edges = kernel.max_fanout_edges.max(g.fanout.len());
         }
         kernel
     }
@@ -237,32 +252,9 @@ impl SoaKernel {
         total
     }
 
-    /// One fixed-point width-sizing sweep of Procedure 2, batched: for
-    /// each level, the per-gate width-independent terms (slope, wire RC,
-    /// `overdrive^α`, per-width leakage, load terms from previous-sweep
-    /// sink widths) are hoisted into `scratch` lanes once, then each
-    /// lane's `steps` bisection iterations probe against the hoisted
-    /// constants — a handful of mul/add per probe instead of a full
-    /// `gate_delay` with its two `powf`s.
-    ///
-    /// Semantics are exactly a scalar gate-by-gate sweep: each
-    /// gate's width is bisected to the smallest value whose delay meets
-    /// `budgets[i] * margin`, with the slope-term input
-    /// `max(min(budget, 1.05 × last_delay))` over its fanins, the
-    /// minimum-width endpoint tried after the bisection, and the maximum
-    /// width kept when no probe was feasible. Within one sweep gates are
-    /// independent — a gate's probes read only sink widths (strictly later
-    /// levels, untouched this sweep) and the fixed `budgets` /
-    /// `last_delays` — so the level ordering produces bitwise the widths
-    /// of the scalar gate-by-gate loop.
-    ///
-    /// Returns the sweep's maximum relative width change (the scalar
-    /// loop's convergence measure, same fold).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `budgets` / `last_delays` don't cover
-    /// every gate.
+    /// One fixed-point width-sizing sweep of Procedure 2 on the calling
+    /// thread: [`size_sweep_threaded`](Self::size_sweep_threaded) with one
+    /// worker.
     pub fn size_sweep(
         &self,
         design: &mut Design,
@@ -272,162 +264,324 @@ impl SoaKernel {
         margin: f64,
         scratch: &mut SizeScratch,
     ) -> f64 {
-        debug_assert_eq!(budgets.len(), self.gate_count());
-        debug_assert_eq!(last_delays.len(), self.gate_count());
+        self.size_sweep_threaded(1, design, budgets, last_delays, steps, margin, scratch)
+    }
+
+    /// One fixed-point width-sizing sweep of Procedure 2, batched and
+    /// split over up to `threads` workers: each logic gate's width is
+    /// bisected to the smallest value whose delay meets
+    /// `budgets[i] * margin`, with the slope-term input
+    /// `max(min(budget, 1.05 × last_delay))` over its fanins, the
+    /// minimum-width endpoint tried after the bisection, and the maximum
+    /// width kept when no probe was feasible. Per gate, the
+    /// width-independent terms (slope, wire RC, `overdrive^α`, per-width
+    /// leakage, load terms from the sink widths) are hoisted once, and
+    /// the `steps` bisection probes run against them — a handful of
+    /// mul/add per probe instead of a full `gate_delay` with its two
+    /// `powf`s.
+    ///
+    /// Within one sweep gates are independent: a gate reads only its
+    /// sinks' widths (strictly later levels, which still hold their
+    /// pre-sweep values), the fixed `budgets` / `last_delays` and its own
+    /// threshold. So the logic gates of the levelized order are cut into
+    /// contiguous chunks of [`SWEEP_CHUNK`] gates, which workers take in
+    /// turn; each chunk reads the pre-sweep `design` and writes its new
+    /// widths to its own slice of `scratch`, and the widths are committed
+    /// after every chunk is done. The result is bitwise that of a scalar
+    /// gate-by-gate sweep whatever the thread count; a netlist of one
+    /// chunk sweeps on the calling thread.
+    ///
+    /// Returns the sweep's maximum relative width change (the scalar
+    /// loop's convergence measure; a `max` fold over non-NaN values, so
+    /// chunk order does not matter).
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `budgets` / `last_delays` don't cover
+    /// every gate; re-raises a worker's panic.
+    #[allow(clippy::too_many_arguments)]
+    pub fn size_sweep_threaded(
+        &self,
+        threads: usize,
+        design: &mut Design,
+        budgets: &[f64],
+        last_delays: &[f64],
+        steps: usize,
+        margin: f64,
+        scratch: &mut SizeScratch,
+    ) -> f64 {
+        let sweep = Sweep {
+            budgets,
+            last_delays,
+            steps,
+            margin,
+        };
+        self.sweep_in_chunks(threads, SWEEP_CHUNK, design, &sweep, scratch)
+    }
+
+    /// Number of [`SWEEP_CHUNK`]-gate chunks a width sweep splits into —
+    /// the most workers [`size_sweep_threaded`](Self::size_sweep_threaded)
+    /// uses.
+    pub fn sweep_chunks(&self) -> usize {
+        self.logic_order().len().div_ceil(SWEEP_CHUNK)
+    }
+
+    /// The logic gates of the levelized order: level 0 holds exactly the
+    /// primary inputs, and every logic gate has a fanin.
+    fn logic_order(&self) -> &[u32] {
+        &self.csr.order()[self.csr.input_count()..]
+    }
+
+    /// The sweep over `chunk`-gate chunks on up to `threads` workers; the
+    /// calling thread is one of them.
+    fn sweep_in_chunks(
+        &self,
+        threads: usize,
+        chunk: usize,
+        design: &mut Design,
+        sweep: &Sweep<'_>,
+        scratch: &mut SizeScratch,
+    ) -> f64 {
+        debug_assert_eq!(sweep.budgets.len(), self.gate_count());
+        debug_assert_eq!(sweep.last_delays.len(), self.gate_count());
+        let logic = self.logic_order();
+        let workers = threads.clamp(1, logic.len().div_ceil(chunk).max(1));
+        // Sized here, on the calling thread, so workers never allocate.
+        scratch.reserve(workers, logic.len(), self.max_fanout_edges);
+        let SizeScratch { staged, terms } = scratch;
+        let max_rel_change = {
+            let before: &Design = design;
+            let queue = Mutex::new(logic.chunks(chunk).zip(staged.chunks_mut(chunk)));
+            let drain = |terms: &mut Vec<f64>| {
+                let mut max_rel_change = 0.0f64;
+                loop {
+                    let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                    let Some((gates, out)) = next else {
+                        return max_rel_change;
+                    };
+                    let rel = self.sweep_chunk(before, sweep, gates, out, terms);
+                    max_rel_change = max_rel_change.max(rel);
+                }
+            };
+            let drain = &drain;
+            let (own, helpers) = terms[..workers]
+                .split_first_mut()
+                .expect("at least one worker");
+            if helpers.is_empty() {
+                drain(own)
+            } else {
+                std::thread::scope(|s| {
+                    let handles: Vec<_> = helpers
+                        .iter_mut()
+                        .map(|terms| s.spawn(move || drain(terms)))
+                        .collect();
+                    let own = drain(own);
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                        .fold(own, f64::max)
+                })
+            }
+        };
+        for (&g, &w) in logic.iter().zip(staged.iter()) {
+            design.width[g as usize] = w;
+        }
+        max_rel_change
+    }
+
+    /// Sizes the logic gates `gates` against the pre-sweep `design`,
+    /// writing gate `gates[k]`'s new width to `out[k]`; returns the
+    /// chunk's maximum relative width change. `terms` is the per-gate
+    /// load-term buffer.
+    fn sweep_chunk(
+        &self,
+        design: &Design,
+        sweep: &Sweep<'_>,
+        gates: &[u32],
+        out: &mut [f64],
+        terms: &mut Vec<f64>,
+    ) -> f64 {
         let tech = &self.tech;
         let (w_lo, w_hi) = tech.w_range;
         let vdd = design.vdd;
+        let (budgets, last_delays) = (sweep.budgets, sweep.last_delays);
         let mut max_rel_change = 0.0f64;
-        for level in 0..self.csr.level_count() {
-            // Build lanes: hoist every width-independent term.
-            scratch.clear();
-            for &gi in self.csr.level(level) {
-                let i = gi as usize;
-                if self.is_input[i] {
-                    continue;
+        // The threshold-only hoists of the previous gate: pure functions
+        // of `(vdd, vt)`, so equal `vt` bits reuse them unchanged.
+        let mut memo: Option<(u64, VtTerms)> = None;
+        for (&gi, out) in gates.iter().zip(out) {
+            let i = gi as usize;
+            debug_assert!(!self.is_input[i]);
+            let vt = design.vt[i];
+            let vt_terms = match memo {
+                Some((bits, t)) if bits == vt.to_bits() => t,
+                _ => {
+                    let t = VtTerms::new(tech, vdd, vt);
+                    memo = Some((vt.to_bits(), t));
+                    t
                 }
-                let vt = design.vt[i];
-                let slope_coeff = (0.5 - (1.0 - vt / vdd) / (1.0 + tech.alpha)).max(0.0);
-                let max_fanin = self
-                    .csr
-                    .fanin_of(i)
-                    .iter()
-                    .map(|&f| {
-                        let j = f as usize;
-                        budgets[j].min(last_delays[j] * 1.05)
-                    })
-                    .fold(0.0, f64::max);
-                let mut t_wire: f64 = 0.0;
-                for e in self.edges(i) {
-                    let t = self.edge_target[e];
-                    let sink_w = if t == PO_SENTINEL {
-                        PO_LOAD_WIDTHS
-                    } else {
-                        design.width[t as usize]
-                    };
-                    let c_sink = sink_w * tech.c_in;
-                    scratch.terms.push(c_sink + self.edge_c_int[e]);
-                    t_wire = t_wire.max(
-                        self.edge_r_int[e] * (c_sink + self.edge_c_int[e] / 2.0)
-                            + self.edge_flight[e],
-                    );
-                }
-                scratch.term_offsets.push(scratch.terms.len() as u32);
-                scratch.gate.push(gi);
-                scratch.t_slope.push(slope_coeff * max_fanin);
-                scratch.t_wire.push(t_wire);
-                scratch
-                    .od_pow
-                    .push(tech.overdrive(vdd, vt).powf(tech.alpha));
-                scratch.leak_per_w.push(
-                    tech.i_off0 * 10f64.powf(-vt / tech.subthreshold_swing()) + tech.i_junction,
+            };
+            let max_fanin = self
+                .csr
+                .fanin_of(i)
+                .iter()
+                .map(|&f| {
+                    let j = f as usize;
+                    budgets[j].min(last_delays[j] * 1.05)
+                })
+                .fold(0.0, f64::max);
+            terms.clear();
+            let mut t_wire: f64 = 0.0;
+            for e in self.edges(i) {
+                let t = self.edge_target[e];
+                let sink_w = if t == PO_SENTINEL {
+                    PO_LOAD_WIDTHS
+                } else {
+                    design.width[t as usize]
+                };
+                let c_sink = sink_w * tech.c_in;
+                terms.push(c_sink + self.edge_c_int[e]);
+                t_wire = t_wire.max(
+                    self.edge_r_int[e] * (c_sink + self.edge_c_int[e] / 2.0) + self.edge_flight[e],
                 );
-                scratch
-                    .cmi_pre
-                    .push((self.fanin_count[i] - 1.0).max(0.0) * tech.c_mi);
-                scratch.stack.push(self.stack[i]);
-                scratch.fanin_count.push(self.fanin_count[i]);
-                scratch.target.push(budgets[i] * margin);
             }
-            let lanes = scratch.gate.len();
-            // Lane-major bisection: each lane runs its `steps` iterations
-            // plus the minimum-width endpoint to completion against its
-            // (cache-resident) hoisted constants, then commits. Lanes are
-            // independent within a sweep, so this evaluation order gives
-            // bitwise the gate-by-gate widths; lane-major beats step-major
-            // passes because a level's lane arrays at 10⁵⁺ gates exceed
-            // cache and `steps` full passes over them go memory-bound.
-            for l in 0..lanes {
-                let target = scratch.target[l];
-                let mut lo = w_lo;
-                let mut hi = w_hi;
-                let mut feasible = f64::NAN;
-                for _ in 0..steps {
-                    let w = 0.5 * (lo + hi);
-                    if scratch.probe_delay(tech, vdd, l, w) <= target {
-                        feasible = w;
-                        hi = w;
-                    } else {
-                        lo = w;
-                    }
+            let lane = Lane {
+                t_slope: vt_terms.slope_coeff * max_fanin,
+                t_wire,
+                od_pow: vt_terms.od_pow,
+                leak_per_w: vt_terms.leak_per_w,
+                cmi_pre: (self.fanin_count[i] - 1.0).max(0.0) * tech.c_mi,
+                stack: self.stack[i],
+                fanin_count: self.fanin_count[i],
+            };
+            let target = budgets[i] * sweep.margin;
+            let mut lo = w_lo;
+            let mut hi = w_hi;
+            let mut feasible = f64::NAN;
+            for _ in 0..sweep.steps {
+                let w = 0.5 * (lo + hi);
+                if lane.probe_delay(tech, vdd, terms, w) <= target {
+                    feasible = w;
+                    hi = w;
+                } else {
+                    lo = w;
                 }
-                // Minimum-width endpoint the bisection never lands on.
-                if scratch.probe_delay(tech, vdd, l, w_lo) <= target {
-                    feasible = w_lo;
-                }
-                let i = scratch.gate[l] as usize;
-                let before = design.width[i];
-                let w_new = if feasible.is_nan() { w_hi } else { feasible };
-                design.width[i] = w_new;
-                let rel = (w_new - before).abs() / before.max(w_lo);
-                max_rel_change = max_rel_change.max(rel);
             }
+            // Minimum-width endpoint the bisection never lands on.
+            if lane.probe_delay(tech, vdd, terms, w_lo) <= target {
+                feasible = w_lo;
+            }
+            let w_new = if feasible.is_nan() { w_hi } else { feasible };
+            *out = w_new;
+            let before = design.width[i];
+            let rel = (w_new - before).abs() / before.max(w_lo);
+            max_rel_change = max_rel_change.max(rel);
         }
         max_rel_change
     }
 }
 
-/// Reusable lane buffers for [`SoaKernel::size_sweep`]: one lane per
-/// logic gate of the level being sized, parallel arrays throughout.
-#[derive(Debug, Clone, Default)]
-pub struct SizeScratch {
-    gate: Vec<u32>,
-    target: Vec<f64>,
-    t_slope: Vec<f64>,
-    t_wire: Vec<f64>,
-    /// `overdrive(vdd, vt)^α` — the hoisted `powf` of `drive_current`.
-    od_pow: Vec<f64>,
-    /// `off_current(w, vt) / w` — the hoisted width-independent leakage.
-    leak_per_w: Vec<f64>,
-    /// `max(fanin_count − 1, 0) · c_mi` — the internal-node prefactor.
-    cmi_pre: Vec<f64>,
-    stack: Vec<f64>,
-    fanin_count: Vec<f64>,
-    /// Per-edge load terms `c_sink + c_int`, flat across the level.
-    terms: Vec<f64>,
-    /// Lane `l`'s terms are `terms[term_offsets[l]..term_offsets[l + 1]]`.
-    term_offsets: Vec<u32>,
+/// Logic gates per width-sweep chunk: the unit of work
+/// [`SoaKernel::size_sweep_threaded`] hands to a worker. A constant, so
+/// the partition depends only on the netlist; a netlist of at most this
+/// many logic gates sweeps on the calling thread.
+pub const SWEEP_CHUNK: usize = 4096;
+
+/// The fixed inputs of one width sweep, shared by all its chunks.
+struct Sweep<'a> {
+    budgets: &'a [f64],
+    last_delays: &'a [f64],
+    steps: usize,
+    margin: f64,
 }
 
-impl SizeScratch {
-    /// A fresh, empty scratch. Buffers grow to the widest level on first
-    /// use and are reused afterwards.
-    pub fn new() -> Self {
-        SizeScratch::default()
-    }
+/// The hoisted terms of `gate_delay` that depend only on `(vdd, vt)`.
+#[derive(Debug, Clone, Copy)]
+struct VtTerms {
+    slope_coeff: f64,
+    /// `overdrive(vdd, vt)^α` — the hoisted `powf` of `drive_current`.
+    od_pow: f64,
+    /// `off_current(w, vt) / w` — the hoisted width-independent leakage.
+    leak_per_w: f64,
+}
 
-    fn clear(&mut self) {
-        self.gate.clear();
-        self.target.clear();
-        self.t_slope.clear();
-        self.t_wire.clear();
-        self.od_pow.clear();
-        self.leak_per_w.clear();
-        self.cmi_pre.clear();
-        self.stack.clear();
-        self.fanin_count.clear();
-        self.terms.clear();
-        self.term_offsets.clear();
-        self.term_offsets.push(0);
+impl VtTerms {
+    fn new(tech: &minpower_device::Technology, vdd: f64, vt: f64) -> Self {
+        VtTerms {
+            slope_coeff: (0.5 - (1.0 - vt / vdd) / (1.0 + tech.alpha)).max(0.0),
+            od_pow: tech.overdrive(vdd, vt).powf(tech.alpha),
+            leak_per_w: tech.i_off0 * 10f64.powf(-vt / tech.subthreshold_swing()) + tech.i_junction,
+        }
     }
+}
 
-    /// Candidate-width delay of lane `l` at width `w` from the hoisted
-    /// terms: bitwise what `gate_delay` computes for the same state.
+/// One gate's width-independent delay terms, hoisted out of its
+/// bisection.
+struct Lane {
+    t_slope: f64,
+    t_wire: f64,
+    od_pow: f64,
+    leak_per_w: f64,
+    /// `max(fanin_count − 1, 0) · c_mi` — the internal-node prefactor.
+    cmi_pre: f64,
+    stack: f64,
+    fanin_count: f64,
+}
+
+impl Lane {
+    /// Candidate-width delay at width `w` from the hoisted terms and the
+    /// per-edge load terms `c_sink + c_int`: bitwise what `gate_delay`
+    /// computes for the same state.
     #[inline]
-    fn probe_delay(&self, tech: &minpower_device::Technology, vdd: f64, l: usize, w: f64) -> f64 {
-        let i_on = tech.k_drive * w * self.od_pow[l] / self.stack[l];
-        let i_leak = self.fanin_count[l] * (w * self.leak_per_w[l]);
+    fn probe_delay(
+        &self,
+        tech: &minpower_device::Technology,
+        vdd: f64,
+        terms: &[f64],
+        w: f64,
+    ) -> f64 {
+        let i_on = tech.k_drive * w * self.od_pow / self.stack;
+        let i_leak = self.fanin_count * (w * self.leak_per_w);
         let i_drive = i_on - i_leak;
         if i_drive <= 0.0 {
             return f64::INFINITY;
         }
         let mut c_load = w * tech.c_pd;
-        for e in self.term_offsets[l] as usize..self.term_offsets[l + 1] as usize {
-            c_load += self.terms[e];
+        for &term in terms {
+            c_load += term;
         }
         let t_switch = vdd / 2.0 * c_load / i_drive;
-        let t_internal = self.cmi_pre[l] * w * vdd / (tech.k_drive * w * self.od_pow[l]);
-        self.t_slope[l] + t_switch + t_internal + self.t_wire[l]
+        let t_internal = self.cmi_pre * w * vdd / (tech.k_drive * w * self.od_pow);
+        self.t_slope + t_switch + t_internal + self.t_wire
+    }
+}
+
+/// Reusable buffers for [`SoaKernel::size_sweep_threaded`]: the staged
+/// new widths, one per logic gate in levelized order, and one load-term
+/// buffer per worker. Sized by the sweep on the calling thread.
+#[derive(Debug, Clone, Default)]
+pub struct SizeScratch {
+    staged: Vec<f64>,
+    terms: Vec<Vec<f64>>,
+}
+
+impl SizeScratch {
+    /// A fresh, empty scratch. Buffers grow on first use and are reused
+    /// afterwards.
+    pub fn new() -> Self {
+        SizeScratch::default()
+    }
+
+    /// Room for a sweep of `gates` logic gates on `workers` workers whose
+    /// gates have at most `edges` fanout edges each.
+    fn reserve(&mut self, workers: usize, gates: usize, edges: usize) {
+        self.staged.resize(gates, 0.0);
+        if self.terms.len() < workers {
+            self.terms.resize_with(workers, Vec::new);
+        }
+        for terms in &mut self.terms[..workers] {
+            terms.reserve(edges);
+        }
     }
 }
 
@@ -588,6 +742,112 @@ mod tests {
                 k.delays_into(&batched, &mut last_delays);
             }
         }
+    }
+
+    /// A seeded ~2k-gate Rent netlist: many levels, wide fanouts.
+    fn rent_2k() -> Netlist {
+        let mut spec = minpower_circuits::BenchmarkSpec::rent("rent2000", 2000);
+        spec.seed = 5;
+        minpower_circuits::synthesize(&spec).expect("rent spec is valid")
+    }
+
+    /// Stage-delay budgets spread over a factor of four.
+    fn spread_budgets(gates: usize) -> Vec<f64> {
+        (0..gates).map(|i| 2e-10 * (1.0 + (i % 4) as f64)).collect()
+    }
+
+    /// Three coupled sweeps from `start` over `chunk`-gate chunks on
+    /// `threads` workers: the bits of each sweep's relative change and of
+    /// the widths after it.
+    fn coupled_sweeps(
+        k: &SoaKernel,
+        start: &Design,
+        budgets: &[f64],
+        threads: usize,
+        chunk: usize,
+    ) -> Vec<(u64, Vec<u64>)> {
+        let mut design = start.clone();
+        let mut last_delays = budgets.to_vec();
+        let mut scratch = SizeScratch::new();
+        (0..3)
+            .map(|_| {
+                let sweep = Sweep {
+                    budgets,
+                    last_delays: &last_delays,
+                    steps: 14,
+                    margin: 0.97,
+                };
+                let rel = k.sweep_in_chunks(threads, chunk, &mut design, &sweep, &mut scratch);
+                k.delays_into(&design, &mut last_delays);
+                (
+                    rel.to_bits(),
+                    design.width.iter().map(|w| w.to_bits()).collect(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn chunked_sweep_matches_single_chunk_bitwise() {
+        for n in [web(), rent_2k()] {
+            let m = model(&n);
+            let k = SoaKernel::new(&m);
+            let logic = n.logic_gate_count();
+            let budgets = spread_budgets(n.gate_count());
+            for vdd in [0.8, 3.3] {
+                let start = varied_design(&n, vdd);
+                let single = coupled_sweeps(&k, &start, &budgets, 1, logic);
+                // The single chunk is the scalar gate-by-gate sweep.
+                let mut scalar = start.clone();
+                let mut last_delays = budgets.clone();
+                for (rel, widths) in &single {
+                    let rs = scalar_sweep(&m, &mut scalar, &budgets, &last_delays, 14, 0.97);
+                    assert_eq!(rs.to_bits(), *rel, "{}: scalar rel-change", n.name());
+                    let scalar_bits: Vec<u64> = scalar.width.iter().map(|w| w.to_bits()).collect();
+                    assert_eq!(&scalar_bits, widths, "{}: scalar widths", n.name());
+                    m.delays_into(&scalar, &mut last_delays);
+                }
+                for parts in [2, 3, logic] {
+                    let chunk = logic.div_ceil(parts);
+                    for threads in [1, 3] {
+                        assert_eq!(
+                            coupled_sweeps(&k, &start, &budgets, threads, chunk),
+                            single,
+                            "{}: {parts} chunks on {threads} thread(s), vdd {vdd}",
+                            n.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_thread_counts_agree_bitwise() {
+        let n = rent_2k();
+        let k = SoaKernel::new(&model(&n));
+        let budgets = spread_budgets(n.gate_count());
+        let start = varied_design(&n, 1.5);
+        let logic = n.logic_gate_count();
+        for chunk in [logic.div_ceil(3), 100, 1] {
+            let one = coupled_sweeps(&k, &start, &budgets, 1, chunk);
+            for threads in [2, 3, 7] {
+                assert_eq!(
+                    coupled_sweeps(&k, &start, &budgets, threads, chunk),
+                    one,
+                    "{chunk}-gate chunks on {threads} threads"
+                );
+            }
+        }
+        // The public entry point: one chunk at this size, any thread count.
+        let mut one = start.clone();
+        let mut seven = start.clone();
+        let mut scratch = SizeScratch::new();
+        let r1 = k.size_sweep(&mut one, &budgets, &budgets, 14, 0.97, &mut scratch);
+        let r7 = k.size_sweep_threaded(7, &mut seven, &budgets, &budgets, 14, 0.97, &mut scratch);
+        assert_eq!(r1.to_bits(), r7.to_bits());
+        assert_eq!(one.width, seven.width);
+        assert_eq!(k.sweep_chunks(), logic.div_ceil(SWEEP_CHUNK));
     }
 
     #[test]

@@ -151,15 +151,6 @@ impl LevelizedCsr {
     pub fn outputs(&self) -> &[u32] {
         &self.outputs
     }
-
-    /// The widest level's gate count — the scratch-buffer bound for
-    /// level-batched kernels.
-    pub fn max_level_width(&self) -> usize {
-        (0..self.level_count())
-            .map(|l| self.level(l).len())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -228,7 +219,7 @@ mod tests {
         let csr = LevelizedCsr::new(&n);
         let total: usize = csr.levels().map(<[u32]>::len).sum();
         assert_eq!(total, csr.gate_count());
-        assert_eq!(csr.max_level_width(), 2); // u and v share level 1
+        assert_eq!(csr.level(1).len(), 2); // u and v share level 1
         let mut seen: Vec<u32> = csr.order().to_vec();
         seen.sort_unstable();
         assert_eq!(seen, (0..csr.gate_count() as u32).collect::<Vec<_>>());
