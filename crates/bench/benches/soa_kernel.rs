@@ -13,15 +13,18 @@
 //!   tests). The batched path bisects each gate against hoisted
 //!   per-lane constants, so the transcendental work (`powf`, `exp`) is
 //!   paid once per gate per sweep instead of once per probe — this is
-//!   the number the >= 2x acceptance target applies to. A third column
-//!   times the same sweeps split over one worker per CPU
-//!   (`size_sweep_threaded`); the row records the CPU count.
+//!   the number the >= 2x acceptance target applies to. The batched
+//!   path recomputes delays between sweeps with the kernel's split delay
+//!   pass (`delays_into_threaded`), the serial path with the model's
+//!   `delays_into`. A third column times the batched sweeps and delay
+//!   passes split over one worker per CPU (`size_sweep_threaded`,
+//!   `delays_into_threaded`); the row records the CPU count.
 //!
 //! All paths are bit-identical by contract; every run here asserts it
-//! on the actual results (critical delay, widths). The smoke netlist
-//! has 10k gates, three sweep chunks, so the threaded sweep really
-//! splits. End-to-end sizing wall time is the repository benchmark's
-//! `rent_100k` workload.
+//! on the actual results (critical delay, widths, the delays after the
+//! last sweep). The smoke netlist has 10k gates, three chunks, so the
+//! threaded sweep and delay pass really split. End-to-end sizing wall
+//! time is the repository benchmark's `rent_100k` workload.
 //!
 //! Run with:
 //!
@@ -30,9 +33,9 @@
 //!                                           # rewrites BENCH_soa.json
 //! cargo bench --bench soa_kernel -- --smoke # small workload, CI: asserts
 //!                                           # bit-identity (threaded sweep
-//!                                           # included) and that the
-//!                                           # committed baseline still
-//!                                           # meets the 2x target
+//!                                           # and delay pass included) and
+//!                                           # that the committed baseline
+//!                                           # still meets the 2x target
 //! ```
 
 use std::path::Path;
@@ -156,19 +159,20 @@ fn serial_sweep(
 /// from Procedure 1, delays recomputed between sweeps) through either
 /// the batched kernel on `Some(threads)` workers or the serial loop
 /// (`None`); returns the best wall over `iters` repeats and the final
-/// widths for the bit-identity check.
+/// widths and delays for the bit-identity check.
 fn time_probes(
     problem: &Problem,
     kernel: &SoaKernel,
     budgets: &[f64],
     batched: Option<usize>,
     iters: usize,
-) -> (f64, Vec<f64>) {
+) -> (f64, Vec<f64>, Vec<f64>) {
     let model = problem.model();
     let netlist = model.netlist();
     let w_lo = model.technology().w_range.0;
     let mut best = f64::INFINITY;
     let mut widths = Vec::new();
+    let mut delays = Vec::new();
     let mut scratch = SizeScratch::new();
     for _ in 0..iters {
         let mut design = Design::uniform(netlist, VDD, VT, w_lo);
@@ -186,7 +190,7 @@ fn time_probes(
                     MARGIN,
                     &mut scratch,
                 );
-                kernel.delays_into(&design, &mut sweep_delays);
+                kernel.delays_into_threaded(threads, &design, &mut sweep_delays, &mut scratch);
             } else {
                 serial_sweep(model, &mut design, budgets, &last_delays);
                 model.delays_into(&design, &mut sweep_delays);
@@ -195,8 +199,9 @@ fn time_probes(
         }
         best = best.min(t0.elapsed().as_secs_f64());
         widths = design.width;
+        delays = last_delays;
     }
-    (best, widths)
+    (best, widths, delays)
 }
 
 fn measure(gates: usize, iters: usize) -> Row {
@@ -237,9 +242,10 @@ fn measure(gates: usize, iters: usize) -> Row {
         problem.effective_cycle_time(),
         BudgetPolicy::FanoutWeighted,
     );
-    let (probe_serial, w_serial) = time_probes(&problem, &kernel, &budgets, None, iters);
-    let (probe_batched, w_batched) = time_probes(&problem, &kernel, &budgets, Some(1), iters);
-    let (probe_threaded, w_threaded) =
+    let (probe_serial, w_serial, d_serial) = time_probes(&problem, &kernel, &budgets, None, iters);
+    let (probe_batched, w_batched, d_batched) =
+        time_probes(&problem, &kernel, &budgets, Some(1), iters);
+    let (probe_threaded, w_threaded, d_threaded) =
         time_probes(&problem, &kernel, &budgets, Some(cpus()), iters);
     for (i, (a, b)) in w_batched.iter().zip(w_serial.iter()).enumerate() {
         assert_eq!(
@@ -256,6 +262,17 @@ fn measure(gates: usize, iters: usize) -> Row {
              {gates}-gate netlist",
             kernel.sweep_chunks()
         );
+    }
+    for (threads, d_kernel) in [(1, &d_batched), (cpus(), &d_threaded)] {
+        for (i, (a, b)) in d_kernel.iter().zip(d_serial.iter()).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "delay pass on {threads} thread(s) ({} chunks) diverged from the model's \
+                 serial delays_into at gate {i} of the {gates}-gate netlist",
+                kernel.sweep_chunks()
+            );
+        }
     }
 
     Row {

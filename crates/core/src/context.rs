@@ -5,13 +5,15 @@
 //!
 //! * a `threads` knob consumed by the parallel call sites
 //!   ([`crate::yield_mc`] trials, the bench suite runner, and the
-//!   budgeted sizer's width sweeps of netlists large enough to split —
-//!   see [`minpower_models::SoaKernel::size_sweep_threaded`]);
+//!   budgeted sizer's width sweeps and delay passes of netlists large
+//!   enough to split — see
+//!   [`minpower_models::SoaKernel::size_sweep_threaded`]);
 //! * an optional [`EvalCache`] memoizing Procedure-2 probes — a probe is
 //!   keyed by `(V_dd, V⃗_ts)` plus a salt folding in the circuit
 //!   fingerprint, the cycle time, and every sizing option, and a hit
 //!   additionally requires an exact bit-pattern match, so caching never
-//!   changes results;
+//!   changes results (the salt is a thunk, hashed only when the cache
+//!   or the probe journal reads it);
 //! * shared [`EngineStats`] telemetry rendered by the CLI and the
 //!   experiment harness.
 //!
@@ -179,16 +181,25 @@ impl EvalContext {
                 let (key, fingerprint) = self.quantizer.key(p.vdd, &p.vts, budgets, salt);
                 cache.insert(key, fingerprint, out.clone());
             }
-            self.record_probe(salt, p.vdd, &p.vts, budgets, &out);
+            self.record_probe(|| salt, p.vdd, &p.vts, budgets, &out);
         }
     }
 
-    fn record_probe(&self, salt: u64, vdd: f64, vts: &[f64], widths: &[f64], out: &Sized) {
+    /// Journals one probe when journaling is on; `salt` is called only
+    /// then.
+    fn record_probe(
+        &self,
+        salt: impl FnOnce() -> u64,
+        vdd: f64,
+        vts: &[f64],
+        widths: &[f64],
+        out: &Sized,
+    ) {
         let mut guard = self.journal.lock().unwrap_or_else(|e| e.into_inner());
         let Some(journal) = guard.as_mut() else {
             return;
         };
-        let (_, fingerprint) = self.quantizer.key(vdd, vts, widths, salt);
+        let (_, fingerprint) = self.quantizer.key(vdd, vts, widths, salt());
         if !journal.seen.insert(fingerprint.0) {
             return;
         }
@@ -208,10 +219,12 @@ impl EvalContext {
     /// Routes one Procedure-2 probe: counts it, consults the cache, and
     /// falls back to `compute`. `widths` carries the per-gate budget
     /// vector — the width-shaping input of the probe (the concrete widths
-    /// are the probe's *output*).
+    /// are the probe's *output*). `salt` yields the probe's cache salt
+    /// (see [`probe_salt`]); it is called only when the cache is on or
+    /// the probe journal is enabled, so a caller can hash lazily.
     pub(crate) fn probe(
         &self,
-        salt: u64,
+        salt: impl Fn() -> u64,
         vdd: f64,
         vts: &[f64],
         widths: &[f64],
@@ -219,7 +232,7 @@ impl EvalContext {
     ) -> Sized {
         self.stats.count_eval();
         let out = if let Some(cache) = &self.cache {
-            let (key, fingerprint) = self.quantizer.key(vdd, vts, widths, salt);
+            let (key, fingerprint) = self.quantizer.key(vdd, vts, widths, salt());
             if let Some(hit) = cache.get(&key, fingerprint) {
                 self.stats.count_hit();
                 hit
@@ -307,10 +320,16 @@ mod tests {
         let ctx = EvalContext::new(1, 64);
         let mut computes = 0;
         for _ in 0..3 {
-            let s = ctx.probe(1, 1.5, &[0.3, 0.3], &[1.0], || {
-                computes += 1;
-                dummy_sized(1.5)
-            });
+            let s = ctx.probe(
+                || 1,
+                1.5,
+                &[0.3, 0.3],
+                &[1.0],
+                || {
+                    computes += 1;
+                    dummy_sized(1.5)
+                },
+            );
             assert_eq!(s.design.vdd, 1.5);
         }
         assert_eq!(computes, 1);
@@ -325,10 +344,16 @@ mod tests {
         assert!(!ctx.cache_enabled());
         let mut computes = 0;
         for _ in 0..3 {
-            let _ = ctx.probe(1, 1.5, &[0.3], &[1.0], || {
-                computes += 1;
-                dummy_sized(0.0)
-            });
+            let _ = ctx.probe(
+                || 1,
+                1.5,
+                &[0.3],
+                &[1.0],
+                || {
+                    computes += 1;
+                    dummy_sized(0.0)
+                },
+            );
         }
         assert_eq!(computes, 3);
         assert_eq!(ctx.cache_stats(), None);
@@ -337,9 +362,32 @@ mod tests {
     #[test]
     fn different_salts_do_not_share_entries() {
         let ctx = EvalContext::new(1, 64);
-        let a = ctx.probe(1, 1.0, &[0.3], &[], || dummy_sized(1.0));
-        let b = ctx.probe(2, 1.0, &[0.3], &[], || dummy_sized(2.0));
+        let a = ctx.probe(|| 1, 1.0, &[0.3], &[], || dummy_sized(1.0));
+        let b = ctx.probe(|| 2, 1.0, &[0.3], &[], || dummy_sized(2.0));
         assert_ne!(a.design.vdd, b.design.vdd);
+    }
+
+    /// Three probes through `ctx` with a salt thunk that counts its calls.
+    fn salt_calls(ctx: &EvalContext) -> usize {
+        let calls = std::cell::Cell::new(0);
+        let salt = || {
+            calls.set(calls.get() + 1);
+            7
+        };
+        for vdd in [1.0, 1.5, 1.0] {
+            let _ = ctx.probe(salt, vdd, &[0.3], &[1.0], || dummy_sized(vdd));
+        }
+        calls.get()
+    }
+
+    #[test]
+    fn salt_is_computed_only_when_cache_or_journal_reads_it() {
+        assert_eq!(salt_calls(&EvalContext::new(1, 0)), 0);
+        assert!(salt_calls(&EvalContext::new(1, 64)) > 0);
+        let journaled = EvalContext::new(1, 0);
+        journaled.enable_probe_journal();
+        assert!(salt_calls(&journaled) > 0);
+        assert_eq!(journaled.probe_journal().1.len(), 2);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! middle loop becomes a coordinate descent over group thresholds.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use minpower_engine::stats::Phase;
 use minpower_models::{CircuitModel, Design, EnergyBreakdown, SizeScratch, SoaKernel};
@@ -191,8 +191,10 @@ pub(crate) struct Sizer<'a> {
     width_passes: usize,
     vt_tolerance: f64,
     sizing: SizingMethod,
+    policy: crate::budget::BudgetPolicy,
     ctx: Arc<EvalContext>,
-    salt: u64,
+    /// The probe salt, hashed on first use by [`salt`](Self::salt).
+    salt: OnceLock<u64>,
     /// Levelized SoA evaluation kernel for the width sweeps, built once
     /// per budgeted sizer (`None` for greedy sizing, which has no sweeps).
     soa: Option<SoaKernel>,
@@ -232,8 +234,6 @@ impl<'a> Sizer<'a> {
             problem.effective_cycle_time(),
             policy,
         );
-        let salt =
-            crate::context::probe_salt(problem, steps, width_passes, vt_tolerance, policy, sizing);
         let soa = (sizing == SizingMethod::Budgeted).then(|| SoaKernel::new(problem.model()));
         Sizer {
             problem,
@@ -242,10 +242,28 @@ impl<'a> Sizer<'a> {
             width_passes,
             vt_tolerance,
             sizing,
+            policy,
             ctx,
-            salt,
+            salt: OnceLock::new(),
             soa,
         }
+    }
+
+    /// The salt binding probe-cache keys and checkpoints to this sizer's
+    /// problem and options. Computed on first use and kept: it hashes the
+    /// whole model, which a run with neither cache nor checkpoint journal
+    /// never needs.
+    pub fn salt(&self) -> u64 {
+        *self.salt.get_or_init(|| {
+            crate::context::probe_salt(
+                self.problem,
+                self.steps,
+                self.width_passes,
+                self.vt_tolerance,
+                self.policy,
+                self.sizing,
+            )
+        })
     }
 
     /// The telemetry sink of the engine this sizer evaluates through.
@@ -257,13 +275,18 @@ impl<'a> Sizer<'a> {
     /// engine: the probe is counted, memoized when the cache is on, and a
     /// hit is returned only for a bit-identical operating point.
     pub fn size(&self, vdd: f64, vt_nominal: &[f64]) -> Sized {
-        self.ctx
-            .probe(self.salt, vdd, vt_nominal, &self.budgets, || {
+        self.ctx.probe(
+            || self.salt(),
+            vdd,
+            vt_nominal,
+            &self.budgets,
+            || {
                 // Attribute the actual sizing work (cache hits are free).
                 self.ctx
                     .stats()
                     .time(Phase::Sizing, || self.size_uncached(vdd, vt_nominal))
-            })
+            },
+        )
     }
 
     /// Greedy (TILOS) sizing path: size at the slow corner, report
@@ -370,9 +393,9 @@ impl<'a> Sizer<'a> {
         // every gate meets its contract then every actual delay is within
         // its budget, so only the load coupling (sink widths) remains for
         // the fixed-point sweeps to resolve. The kernel batches the
-        // per-gate bisections and splits each sweep over the context's
-        // threads (same bits at any count); a netlist of one chunk sweeps
-        // on this thread.
+        // per-gate bisections and splits each sweep, and the delay pass
+        // after it, over the context's threads (same bits at any count); a
+        // netlist of one chunk runs on this thread.
         let kernel = self
             .soa
             .as_ref()
@@ -391,7 +414,12 @@ impl<'a> Sizer<'a> {
                 MARGIN,
                 &mut scratch,
             );
-            kernel.delays_into(&design, &mut sweep_delays);
+            kernel.delays_into_threaded(
+                self.ctx.threads(),
+                &design,
+                &mut sweep_delays,
+                &mut scratch,
+            );
             std::mem::swap(&mut last_delays, &mut sweep_delays);
             self.ctx.stats().count_sta(1);
             if max_rel_change < 0.005 {
@@ -692,7 +720,7 @@ impl<'a> Optimizer<'a> {
             budgets = sizer.budgets.clone();
         }
         let snapshot = Checkpoint::Search {
-            salt: sizer.salt,
+            salt: sizer.salt(),
             evaluations,
             budgets,
             probes,
@@ -764,7 +792,7 @@ impl<'a> Optimizer<'a> {
                     probes,
                     ..
                 } => {
-                    if salt != sizer.salt {
+                    if salt != sizer.salt() {
                         return Err(OptimizeError::Checkpoint {
                             message: format!(
                                 "{} was taken for a different problem or option set \

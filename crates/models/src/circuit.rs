@@ -184,27 +184,29 @@ impl CircuitModel {
     /// per-gate activities, and every technology parameter. Two models
     /// with equal fingerprints evaluate any design identically (modulo an
     /// FNV collision), which is what lets the evaluation cache salt its
-    /// keys with this value.
+    /// keys with this value. The words stream straight into the hasher,
+    /// so fingerprinting allocates nothing.
     pub fn fingerprint(&self) -> u64 {
         let t = &self.tech;
-        let mut words: Vec<u64> = Vec::with_capacity(8 * self.info.len() + 32);
-        words.extend(self.netlist.name().bytes().map(u64::from));
-        words.push(self.info.len() as u64);
-        for g in &self.info {
-            words.push(u64::from(g.is_input));
-            words.push(g.fanin.len() as u64);
-            words.extend(g.fanin.iter().map(|&f| u64::from(f)));
-            words.push(g.fanin_count.to_bits());
-            words.push(g.stack.to_bits());
-            words.push(g.activity.to_bits());
-            for e in &g.fanout {
-                words.push(e.target.map_or(u64::MAX, u64::from));
-                words.push(e.c_int.to_bits());
-                words.push(e.r_int.to_bits());
-                words.push(e.flight.to_bits());
-            }
-        }
-        for x in [
+        let gates = self.info.iter().flat_map(|g| {
+            [u64::from(g.is_input), g.fanin.len() as u64]
+                .into_iter()
+                .chain(g.fanin.iter().map(|&f| u64::from(f)))
+                .chain([
+                    g.fanin_count.to_bits(),
+                    g.stack.to_bits(),
+                    g.activity.to_bits(),
+                ])
+                .chain(g.fanout.iter().flat_map(|e| {
+                    [
+                        e.target.map_or(u64::MAX, u64::from),
+                        e.c_int.to_bits(),
+                        e.r_int.to_bits(),
+                        e.flight.to_bits(),
+                    ]
+                }))
+        });
+        let tech = [
             t.feature_m,
             t.alpha,
             t.k_drive,
@@ -225,10 +227,17 @@ impl CircuitModel {
             t.vt_range.1,
             t.w_range.0,
             t.w_range.1,
-        ] {
-            words.push(x.to_bits());
-        }
-        minpower_engine::fnv1a_words(words)
+        ]
+        .map(f64::to_bits);
+        minpower_engine::fnv1a_words(
+            self.netlist
+                .name()
+                .bytes()
+                .map(u64::from)
+                .chain([self.info.len() as u64])
+                .chain(gates)
+                .chain(tech),
+        )
     }
 
     /// Worst-case delay of gate `id` under `design`, given the largest
@@ -252,7 +261,8 @@ impl CircuitModel {
 
         // Switching term: series-stack-derated drive fighting the leakage
         // of the complementary network.
-        let i_on = tech.drive_current(w, vdd, vt) / g.stack;
+        let i_d = tech.drive_current(w, vdd, vt);
+        let i_on = i_d / g.stack;
         let i_leak = g.fanin_count * tech.off_current(w, vt);
         let i_drive = i_on - i_leak;
         if i_drive <= 0.0 {
@@ -272,8 +282,7 @@ impl CircuitModel {
         let t_switch = vdd / 2.0 * c_load / i_drive;
 
         // Intermediate-node discharge of the series stack.
-        let t_internal =
-            (g.fanin_count - 1.0).max(0.0) * tech.c_mi * w * vdd / tech.drive_current(w, vdd, vt);
+        let t_internal = (g.fanin_count - 1.0).max(0.0) * tech.c_mi * w * vdd / i_d;
 
         t_slope + t_switch + t_internal + t_wire
     }

@@ -11,7 +11,7 @@
 //! The kernel also batches the innermost loop of Procedure 2. A scalar
 //! sizer bisects each gate's width with `M` sequential `gate_delay`
 //! probes, and every probe re-derives the gate's width-independent terms —
-//! two `powf`s, an `exp`/`ln_1p`, the wire RC fold. One sizing sweep is
+//! a `powf`, an `exp`/`ln_1p`, the wire RC fold. One sizing sweep is
 //! embarrassingly independent across gates (each bisection reads only
 //! *pre-sweep* sink widths, the fixed budget vector and the gate's own
 //! threshold), so the sweep hoists those invariants once per gate — the
@@ -19,26 +19,34 @@
 //! gate's `M` bisection steps against the hoisted constants: a handful
 //! of mul/add per probe instead of a full `gate_delay`.
 //!
-//! There is one sweep routine, over chunks of [`SWEEP_CHUNK`] logic
-//! gates of the levelized order. [`SoaKernel::size_sweep_threaded`]
-//! hands the chunks to up to `threads` workers, each writing its chunk's
-//! new widths to a staging slice, and commits them after the join;
-//! [`SoaKernel::size_sweep`] is the same routine on the calling thread
-//! alone. The widths are the same bits at every thread count.
+//! There is one sweep routine and one delay routine over the same chunks
+//! of [`SWEEP_CHUNK`] logic gates of the levelized order.
+//! [`SoaKernel::size_sweep_threaded`] hands the chunks to up to `threads`
+//! workers, each writing its chunk's new widths to a staging slice, and
+//! commits them after the join. [`SoaKernel::delays_into_threaded`] hands
+//! the same chunks to the same workers to compute every gate's
+//! fanin-independent delay terms (switching, internal-node and wire
+//! delay, slope coefficient) from the threshold-only hoists, then folds
+//! the slope terms in one serial levelized pass.
+//! [`SoaKernel::size_sweep`] and [`SoaKernel::delays_into`] are the same
+//! routines on the calling thread alone. Widths and delays are the same
+//! bits at every thread count.
 //!
 //! Bit-identity contract: every method here produces bitwise the value of
 //! its [`CircuitModel`] counterpart. The hoists are exact — `drive_current
 //! = (k·w)·overdrive^α` factors the `powf` out of the width loop without
 //! reassociating anything width-dependent, `off_current = w·leak_per_w`
 //! likewise — and per-gate fold orders (fanin order, fanout edge order,
-//! gate index order for energy sums) are preserved by construction.
-//! The unit tests below check the batched sweep against a scalar
-//! gate-by-gate transcription bit for bit, under every partition and
-//! thread count, and `minpower-core`'s golden sizing fixtures freeze the
-//! end-to-end results.
+//! gate index order for energy sums, `gate_delay`'s term order) are
+//! preserved by construction. The unit tests below check the batched
+//! sweep against a scalar gate-by-gate transcription and the split delay
+//! pass against [`CircuitModel::delays_into`] bit for bit, under every
+//! partition and thread count, and `minpower-core`'s golden sizing
+//! fixtures freeze the end-to-end results.
 
 use std::sync::{Mutex, PoisonError};
 
+use minpower_device::Technology;
 use minpower_netlist::LevelizedCsr;
 
 use crate::circuit::{CircuitModel, PO_LOAD_WIDTHS};
@@ -54,7 +62,7 @@ const PO_SENTINEL: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct SoaKernel {
     csr: LevelizedCsr,
-    tech: minpower_device::Technology,
+    tech: Technology,
     is_input: Vec<bool>,
     fanin_count: Vec<f64>,
     stack: Vec<f64>,
@@ -124,28 +132,12 @@ impl SoaKernel {
         self.edge_offsets[i] as usize..self.edge_offsets[i + 1] as usize
     }
 
-    /// [`CircuitModel::gate_delay`] over the flat arrays — bitwise the
-    /// same value for the same inputs.
+    /// Walks gate `i`'s fanout edges in edge order against `design`'s
+    /// sink widths, handing each edge's load `c_sink + c_int` to `load`;
+    /// returns the wire delay, the largest edge RC + flight term.
     #[inline]
-    pub fn gate_delay(&self, design: &Design, i: usize, max_fanin_delay: f64) -> f64 {
-        if self.is_input[i] {
-            return 0.0;
-        }
-        let vdd = design.vdd;
-        let vt = design.vt[i];
-        let w = design.width[i];
+    fn fold_loads(&self, design: &Design, i: usize, mut load: impl FnMut(f64)) -> f64 {
         let tech = &self.tech;
-
-        let slope_coeff = (0.5 - (1.0 - vt / vdd) / (1.0 + tech.alpha)).max(0.0);
-        let t_slope = slope_coeff * max_fanin_delay;
-
-        let i_on = tech.drive_current(w, vdd, vt) / self.stack[i];
-        let i_leak = self.fanin_count[i] * tech.off_current(w, vt);
-        let i_drive = i_on - i_leak;
-        if i_drive <= 0.0 {
-            return f64::INFINITY;
-        }
-        let mut c_load = w * tech.c_pd;
         let mut t_wire: f64 = 0.0;
         for e in self.edges(i) {
             let t = self.edge_target[e];
@@ -155,33 +147,126 @@ impl SoaKernel {
                 design.width[t as usize]
             };
             let c_sink = sink_w * tech.c_in;
-            c_load += c_sink + self.edge_c_int[e];
+            load(c_sink + self.edge_c_int[e]);
             t_wire = t_wire.max(
                 self.edge_r_int[e] * (c_sink + self.edge_c_int[e] / 2.0) + self.edge_flight[e],
             );
         }
-        let t_switch = vdd / 2.0 * c_load / i_drive;
-
-        let t_internal = (self.fanin_count[i] - 1.0).max(0.0) * tech.c_mi * w * vdd
-            / tech.drive_current(w, vdd, vt);
-
-        t_slope + t_switch + t_internal + t_wire
+        t_wire
     }
 
-    /// [`CircuitModel::delays_into`] as a levelized sweep: bitwise the
-    /// same vector, one contiguous pass per level.
+    /// Logic gate `i`'s drive constants under the threshold hoists `vt`.
+    #[inline]
+    fn drive(&self, i: usize, vt: VtTerms) -> Drive {
+        Drive {
+            od_pow: vt.od_pow,
+            leak_per_w: vt.leak_per_w,
+            cmi_pre: (self.fanin_count[i] - 1.0).max(0.0) * self.tech.c_mi,
+            stack: self.stack[i],
+            fanin_count: self.fanin_count[i],
+        }
+    }
+
+    /// Logic gate `i`'s fanin-independent delay terms under `design`,
+    /// given the hoists `vt` of its threshold.
+    #[inline]
+    fn delay_terms(&self, design: &Design, i: usize, vt: VtTerms) -> DelayTerms {
+        let w = design.width[i];
+        let mut c_load = w * self.tech.c_pd;
+        let t_wire = self.fold_loads(design, i, |c| c_load += c);
+        match self
+            .drive(i, vt)
+            .switch_terms(&self.tech, design.vdd, w, c_load)
+        {
+            Some((t_switch, t_internal)) => DelayTerms {
+                slope_coeff: vt.slope_coeff,
+                t_switch,
+                t_internal,
+                t_wire,
+            },
+            None => DelayTerms::BLOCKED,
+        }
+    }
+
+    /// [`CircuitModel::gate_delay`] over the flat arrays — bitwise the
+    /// same value for the same inputs.
+    #[inline]
+    pub fn gate_delay(&self, design: &Design, i: usize, max_fanin_delay: f64) -> f64 {
+        if self.is_input[i] {
+            return 0.0;
+        }
+        let vt = VtTerms::new(&self.tech, design.vdd, design.vt[i]);
+        self.delay_terms(design, i, vt).delay(max_fanin_delay)
+    }
+
+    /// [`CircuitModel::delays_into`] on the calling thread:
+    /// [`delays_into_threaded`](Self::delays_into_threaded) with one
+    /// worker and a fresh term buffer.
     pub fn delays_into(&self, design: &Design, delays: &mut Vec<f64>) {
+        self.delays_into_threaded(1, design, delays, &mut SizeScratch::new());
+    }
+
+    /// [`CircuitModel::delays_into`] split over up to `threads` workers:
+    /// bitwise the same vector at every thread count.
+    ///
+    /// A gate's delay is `slope_coeff · max_fanin_delay` plus terms that
+    /// depend only on its own width, threshold and sink widths. So a
+    /// local pass computes those terms — slope coefficient, switching,
+    /// internal-node and wire delay, from the threshold-only hoists
+    /// memoized across equal thresholds — for every logic gate, over the
+    /// width sweep's [`SWEEP_CHUNK`]-gate chunks and workers, into
+    /// `scratch`. A serial fold in levelized order then adds each gate's
+    /// slope term in `gate_delay`'s order, and gives `INFINITY` where the
+    /// drive current does not exceed the leakage. A netlist of one chunk
+    /// runs on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a worker's panic.
+    pub fn delays_into_threaded(
+        &self,
+        threads: usize,
+        design: &Design,
+        delays: &mut Vec<f64>,
+        scratch: &mut SizeScratch,
+    ) {
+        self.delays_in_chunks(threads, SWEEP_CHUNK, design, delays, scratch);
+    }
+
+    /// The delay pass over `chunk`-gate chunks on up to `threads`
+    /// workers.
+    fn delays_in_chunks(
+        &self,
+        threads: usize,
+        chunk: usize,
+        design: &Design,
+        delays: &mut Vec<f64>,
+        scratch: &mut SizeScratch,
+    ) {
+        let logic = self.logic_order();
+        scratch.delay_terms.resize(logic.len(), DelayTerms::BLOCKED);
+        let terms = &mut scratch.delay_terms[..];
+        let mut workers = vec![(); self.workers(threads, chunk)];
+        self.in_chunks(chunk, &mut workers, terms, |gates, out, _| {
+            let mut memo = VtMemo::default();
+            for (&g, out) in gates.iter().zip(out) {
+                let i = g as usize;
+                let vt = memo.get(&self.tech, design.vdd, design.vt[i]);
+                *out = self.delay_terms(design, i, vt);
+            }
+            0.0
+        });
         delays.clear();
         delays.resize(self.gate_count(), 0.0);
-        for &i in self.csr.order() {
-            let i = i as usize;
+        for (&g, t) in logic.iter().zip(terms.iter()) {
+            let i = g as usize;
             let max_fanin = self
                 .csr
                 .fanin_of(i)
                 .iter()
                 .map(|&f| delays[f as usize])
                 .fold(0.0, f64::max);
-            delays[i] = self.gate_delay(design, i, max_fanin);
+            delays[i] = t.delay(max_fanin);
         }
     }
 
@@ -229,15 +314,7 @@ impl SoaKernel {
         let tech = &self.tech;
         let w = design.width[i];
         let mut c_sw = w * tech.c_pd + (self.fanin_count[i] - 1.0).max(0.0) * tech.c_mi * w;
-        for e in self.edges(i) {
-            let t = self.edge_target[e];
-            let sink_w = if t == PO_SENTINEL {
-                PO_LOAD_WIDTHS
-            } else {
-                design.width[t as usize]
-            };
-            c_sw += sink_w * tech.c_in + self.edge_c_int[e];
-        }
+        self.fold_loads(design, i, |c| c_sw += c);
         0.5 * self.activity[i] * design.vdd * design.vdd * c_sw
     }
 
@@ -277,8 +354,7 @@ impl SoaKernel {
     /// width-independent terms (slope, wire RC, `overdrive^α`, per-width
     /// leakage, load terms from the sink widths) are hoisted once, and
     /// the `steps` bisection probes run against them — a handful of
-    /// mul/add per probe instead of a full `gate_delay` with its two
-    /// `powf`s.
+    /// mul/add per probe instead of a full `gate_delay` with its `powf`s.
     ///
     /// Within one sweep gates are independent: a gate reads only its
     /// sinks' widths (strictly later levels, which still hold their
@@ -319,9 +395,10 @@ impl SoaKernel {
         self.sweep_in_chunks(threads, SWEEP_CHUNK, design, &sweep, scratch)
     }
 
-    /// Number of [`SWEEP_CHUNK`]-gate chunks a width sweep splits into —
-    /// the most workers [`size_sweep_threaded`](Self::size_sweep_threaded)
-    /// uses.
+    /// Number of [`SWEEP_CHUNK`]-gate chunks a width sweep or delay pass
+    /// splits into — the most workers
+    /// [`size_sweep_threaded`](Self::size_sweep_threaded) and
+    /// [`delays_into_threaded`](Self::delays_into_threaded) use.
     pub fn sweep_chunks(&self) -> usize {
         self.logic_order().len().div_ceil(SWEEP_CHUNK)
     }
@@ -330,6 +407,54 @@ impl SoaKernel {
     /// primary inputs, and every logic gate has a fanin.
     fn logic_order(&self) -> &[u32] {
         &self.csr.order()[self.csr.input_count()..]
+    }
+
+    /// Workers for a pass over `chunk`-gate chunks on up to `threads`
+    /// threads: never more than there are chunks, at least one.
+    fn workers(&self, threads: usize, chunk: usize) -> usize {
+        threads.clamp(1, self.logic_order().len().div_ceil(chunk).max(1))
+    }
+
+    /// Hands the `chunk`-gate chunks of the logic order, each with the
+    /// matching chunk of `out` (one entry per logic gate), to one worker
+    /// per entry of `locals` — the calling thread plus scoped helper
+    /// threads — which run `work` on them with that entry as its own
+    /// state. Returns the largest of `work`'s results (0 for no chunks).
+    fn in_chunks<T: Send, L: Send>(
+        &self,
+        chunk: usize,
+        locals: &mut [L],
+        out: &mut [T],
+        work: impl Fn(&[u32], &mut [T], &mut L) -> f64 + Sync,
+    ) -> f64 {
+        let queue = Mutex::new(self.logic_order().chunks(chunk).zip(out.chunks_mut(chunk)));
+        let drain = |local: &mut L| {
+            let mut max = 0.0f64;
+            loop {
+                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some((gates, out)) = next else {
+                    return max;
+                };
+                max = max.max(work(gates, out, local));
+            }
+        };
+        let drain = &drain;
+        let (own, helpers) = locals.split_first_mut().expect("at least one worker");
+        if helpers.is_empty() {
+            drain(own)
+        } else {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = helpers
+                    .iter_mut()
+                    .map(|local| s.spawn(move || drain(local)))
+                    .collect();
+                let own = drain(own);
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .fold(own, f64::max)
+            })
+        }
     }
 
     /// The sweep over `chunk`-gate chunks on up to `threads` workers; the
@@ -345,44 +470,15 @@ impl SoaKernel {
         debug_assert_eq!(sweep.budgets.len(), self.gate_count());
         debug_assert_eq!(sweep.last_delays.len(), self.gate_count());
         let logic = self.logic_order();
-        let workers = threads.clamp(1, logic.len().div_ceil(chunk).max(1));
+        let workers = self.workers(threads, chunk);
         // Sized here, on the calling thread, so workers never allocate.
-        scratch.reserve(workers, logic.len(), self.max_fanout_edges);
-        let SizeScratch { staged, terms } = scratch;
-        let max_rel_change = {
-            let before: &Design = design;
-            let queue = Mutex::new(logic.chunks(chunk).zip(staged.chunks_mut(chunk)));
-            let drain = |terms: &mut Vec<f64>| {
-                let mut max_rel_change = 0.0f64;
-                loop {
-                    let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-                    let Some((gates, out)) = next else {
-                        return max_rel_change;
-                    };
-                    let rel = self.sweep_chunk(before, sweep, gates, out, terms);
-                    max_rel_change = max_rel_change.max(rel);
-                }
-            };
-            let drain = &drain;
-            let (own, helpers) = terms[..workers]
-                .split_first_mut()
-                .expect("at least one worker");
-            if helpers.is_empty() {
-                drain(own)
-            } else {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = helpers
-                        .iter_mut()
-                        .map(|terms| s.spawn(move || drain(terms)))
-                        .collect();
-                    let own = drain(own);
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                        .fold(own, f64::max)
-                })
-            }
-        };
+        scratch.reserve_sweep(workers, logic.len(), self.max_fanout_edges);
+        let SizeScratch { staged, terms, .. } = scratch;
+        let before: &Design = design;
+        let max_rel_change =
+            self.in_chunks(chunk, &mut terms[..workers], staged, |gates, out, terms| {
+                self.sweep_chunk(before, sweep, gates, out, terms)
+            });
         for (&g, &w) in logic.iter().zip(staged.iter()) {
             design.width[g as usize] = w;
         }
@@ -406,21 +502,11 @@ impl SoaKernel {
         let vdd = design.vdd;
         let (budgets, last_delays) = (sweep.budgets, sweep.last_delays);
         let mut max_rel_change = 0.0f64;
-        // The threshold-only hoists of the previous gate: pure functions
-        // of `(vdd, vt)`, so equal `vt` bits reuse them unchanged.
-        let mut memo: Option<(u64, VtTerms)> = None;
+        let mut memo = VtMemo::default();
         for (&gi, out) in gates.iter().zip(out) {
             let i = gi as usize;
             debug_assert!(!self.is_input[i]);
-            let vt = design.vt[i];
-            let vt_terms = match memo {
-                Some((bits, t)) if bits == vt.to_bits() => t,
-                _ => {
-                    let t = VtTerms::new(tech, vdd, vt);
-                    memo = Some((vt.to_bits(), t));
-                    t
-                }
-            };
+            let vt = memo.get(tech, vdd, design.vt[i]);
             let max_fanin = self
                 .csr
                 .fanin_of(i)
@@ -431,28 +517,11 @@ impl SoaKernel {
                 })
                 .fold(0.0, f64::max);
             terms.clear();
-            let mut t_wire: f64 = 0.0;
-            for e in self.edges(i) {
-                let t = self.edge_target[e];
-                let sink_w = if t == PO_SENTINEL {
-                    PO_LOAD_WIDTHS
-                } else {
-                    design.width[t as usize]
-                };
-                let c_sink = sink_w * tech.c_in;
-                terms.push(c_sink + self.edge_c_int[e]);
-                t_wire = t_wire.max(
-                    self.edge_r_int[e] * (c_sink + self.edge_c_int[e] / 2.0) + self.edge_flight[e],
-                );
-            }
+            let t_wire = self.fold_loads(design, i, |c| terms.push(c));
             let lane = Lane {
-                t_slope: vt_terms.slope_coeff * max_fanin,
+                t_slope: vt.slope_coeff * max_fanin,
                 t_wire,
-                od_pow: vt_terms.od_pow,
-                leak_per_w: vt_terms.leak_per_w,
-                cmi_pre: (self.fanin_count[i] - 1.0).max(0.0) * tech.c_mi,
-                stack: self.stack[i],
-                fanin_count: self.fanin_count[i],
+                drive: self.drive(i, vt),
             };
             let target = budgets[i] * sweep.margin;
             let mut lo = w_lo;
@@ -481,10 +550,11 @@ impl SoaKernel {
     }
 }
 
-/// Logic gates per width-sweep chunk: the unit of work
-/// [`SoaKernel::size_sweep_threaded`] hands to a worker. A constant, so
+/// Logic gates per chunk of a width sweep or delay pass: the unit of work
+/// [`SoaKernel::size_sweep_threaded`] and
+/// [`SoaKernel::delays_into_threaded`] hand to a worker. A constant, so
 /// the partition depends only on the netlist; a netlist of at most this
-/// many logic gates sweeps on the calling thread.
+/// many logic gates runs on the calling thread.
 pub const SWEEP_CHUNK: usize = 4096;
 
 /// The fixed inputs of one width sweep, shared by all its chunks.
@@ -506,7 +576,7 @@ struct VtTerms {
 }
 
 impl VtTerms {
-    fn new(tech: &minpower_device::Technology, vdd: f64, vt: f64) -> Self {
+    fn new(tech: &Technology, vdd: f64, vt: f64) -> Self {
         VtTerms {
             slope_coeff: (0.5 - (1.0 - vt / vdd) / (1.0 + tech.alpha)).max(0.0),
             od_pow: tech.overdrive(vdd, vt).powf(tech.alpha),
@@ -515,11 +585,27 @@ impl VtTerms {
     }
 }
 
-/// One gate's width-independent delay terms, hoisted out of its
-/// bisection.
-struct Lane {
-    t_slope: f64,
-    t_wire: f64,
+/// The [`VtTerms`] of the previous gate of a pass: pure functions of
+/// `(vdd, vt)`, so a gate with the same `vt` bits reuses them unchanged.
+#[derive(Default)]
+struct VtMemo(Option<(u64, VtTerms)>);
+
+impl VtMemo {
+    #[inline]
+    fn get(&mut self, tech: &Technology, vdd: f64, vt: f64) -> VtTerms {
+        match self.0 {
+            Some((bits, terms)) if bits == vt.to_bits() => terms,
+            _ => {
+                let terms = VtTerms::new(tech, vdd, vt);
+                self.0 = Some((vt.to_bits(), terms));
+                terms
+            }
+        }
+    }
+}
+
+/// One logic gate's width-independent drive constants.
+struct Drive {
     od_pow: f64,
     leak_per_w: f64,
     /// `max(fanin_count − 1, 0) · c_mi` — the internal-node prefactor.
@@ -528,41 +614,91 @@ struct Lane {
     fanin_count: f64,
 }
 
+impl Drive {
+    /// The switching and internal-node delays at width `w` driving
+    /// `c_load`, bitwise `gate_delay`'s; `None` where the drive current
+    /// does not exceed the leakage (`gate_delay`'s `INFINITY`).
+    #[inline]
+    fn switch_terms(&self, tech: &Technology, vdd: f64, w: f64, c_load: f64) -> Option<(f64, f64)> {
+        // `drive_current(w, vdd, vt)`, with its `powf` hoisted.
+        let i_d = tech.k_drive * w * self.od_pow;
+        let i_on = i_d / self.stack;
+        let i_leak = self.fanin_count * (w * self.leak_per_w);
+        let i_drive = i_on - i_leak;
+        if i_drive <= 0.0 {
+            return None;
+        }
+        let t_switch = vdd / 2.0 * c_load / i_drive;
+        let t_internal = self.cmi_pre * w * vdd / i_d;
+        Some((t_switch, t_internal))
+    }
+}
+
+/// One gate's width-independent delay terms, hoisted out of its
+/// bisection.
+struct Lane {
+    t_slope: f64,
+    t_wire: f64,
+    drive: Drive,
+}
+
 impl Lane {
     /// Candidate-width delay at width `w` from the hoisted terms and the
     /// per-edge load terms `c_sink + c_int`: bitwise what `gate_delay`
     /// computes for the same state.
     #[inline]
-    fn probe_delay(
-        &self,
-        tech: &minpower_device::Technology,
-        vdd: f64,
-        terms: &[f64],
-        w: f64,
-    ) -> f64 {
-        let i_on = tech.k_drive * w * self.od_pow / self.stack;
-        let i_leak = self.fanin_count * (w * self.leak_per_w);
-        let i_drive = i_on - i_leak;
-        if i_drive <= 0.0 {
-            return f64::INFINITY;
-        }
+    fn probe_delay(&self, tech: &Technology, vdd: f64, terms: &[f64], w: f64) -> f64 {
         let mut c_load = w * tech.c_pd;
         for &term in terms {
             c_load += term;
         }
-        let t_switch = vdd / 2.0 * c_load / i_drive;
-        let t_internal = self.cmi_pre * w * vdd / (tech.k_drive * w * self.od_pow);
-        self.t_slope + t_switch + t_internal + self.t_wire
+        match self.drive.switch_terms(tech, vdd, w, c_load) {
+            Some((t_switch, t_internal)) => self.t_slope + t_switch + t_internal + self.t_wire,
+            None => f64::INFINITY,
+        }
     }
 }
 
-/// Reusable buffers for [`SoaKernel::size_sweep_threaded`]: the staged
-/// new widths, one per logic gate in levelized order, and one load-term
-/// buffer per worker. Sized by the sweep on the calling thread.
+/// One logic gate's delay terms that do not depend on its fanins'
+/// delays: everything of `gate_delay` but the slope input.
+#[derive(Debug, Clone, Copy)]
+struct DelayTerms {
+    slope_coeff: f64,
+    t_switch: f64,
+    t_internal: f64,
+    t_wire: f64,
+}
+
+impl DelayTerms {
+    /// A gate whose drive current does not exceed its leakage. NaN marks
+    /// it: a real slope coefficient is a `max(…, 0.0)`, never NaN.
+    const BLOCKED: DelayTerms = DelayTerms {
+        slope_coeff: f64::NAN,
+        t_switch: 0.0,
+        t_internal: 0.0,
+        t_wire: 0.0,
+    };
+
+    /// The gate's delay given the largest delay among its drivers, in
+    /// `gate_delay`'s order.
+    #[inline]
+    fn delay(&self, max_fanin_delay: f64) -> f64 {
+        if self.slope_coeff.is_nan() {
+            return f64::INFINITY;
+        }
+        self.slope_coeff * max_fanin_delay + self.t_switch + self.t_internal + self.t_wire
+    }
+}
+
+/// Reusable buffers for [`SoaKernel::size_sweep_threaded`] and
+/// [`SoaKernel::delays_into_threaded`]: the staged new widths and the
+/// delay terms, one per logic gate in levelized order, and one load-term
+/// buffer per worker. Sized on the calling thread.
 #[derive(Debug, Clone, Default)]
 pub struct SizeScratch {
     staged: Vec<f64>,
     terms: Vec<Vec<f64>>,
+    delay_terms: Vec<DelayTerms>,
 }
 
 impl SizeScratch {
@@ -574,7 +710,7 @@ impl SizeScratch {
 
     /// Room for a sweep of `gates` logic gates on `workers` workers whose
     /// gates have at most `edges` fanout edges each.
-    fn reserve(&mut self, workers: usize, gates: usize, edges: usize) {
+    fn reserve_sweep(&mut self, workers: usize, gates: usize, edges: usize) {
         self.staged.resize(gates, 0.0);
         if self.terms.len() < workers {
             self.terms.resize_with(workers, Vec::new);
@@ -848,6 +984,113 @@ mod tests {
         assert_eq!(r1.to_bits(), r7.to_bits());
         assert_eq!(one.width, seven.width);
         assert_eq!(k.sweep_chunks(), logic.div_ceil(SWEEP_CHUNK));
+    }
+
+    /// The split delay pass over `chunk`-gate chunks on `threads`
+    /// workers, as bits.
+    fn split_delays(
+        k: &SoaKernel,
+        d: &Design,
+        threads: usize,
+        chunk: usize,
+        scratch: &mut SizeScratch,
+    ) -> Vec<u64> {
+        let mut delays = vec![f64::NAN; 3];
+        k.delays_in_chunks(threads, chunk, d, &mut delays, scratch);
+        delays.iter().map(|t| t.to_bits()).collect()
+    }
+
+    fn model_delays(m: &CircuitModel, d: &Design) -> Vec<u64> {
+        m.delays(d).iter().map(|t| t.to_bits()).collect()
+    }
+
+    /// Asserts the split delay pass equals the model's on `d` over 1, 2,
+    /// 3 and one-gate partitions on 1 and 3 threads, and through the
+    /// public entry points.
+    fn assert_split_delays_match(m: &CircuitModel, k: &SoaKernel, d: &Design, what: &str) {
+        let want = model_delays(m, d);
+        let logic = m.netlist().logic_gate_count();
+        let mut scratch = SizeScratch::new();
+        for parts in [1, 2, 3, logic] {
+            let chunk = logic.div_ceil(parts);
+            for threads in [1, 3] {
+                assert_eq!(
+                    split_delays(k, d, threads, chunk, &mut scratch),
+                    want,
+                    "{what}: {parts} chunks on {threads} thread(s)"
+                );
+            }
+        }
+        let mut delays = Vec::new();
+        k.delays_into_threaded(3, d, &mut delays, &mut scratch);
+        assert_eq!(delays.iter().map(|t| t.to_bits()).collect::<Vec<_>>(), want);
+        k.delays_into(d, &mut delays);
+        assert_eq!(delays.iter().map(|t| t.to_bits()).collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn split_delay_pass_matches_model_bitwise() {
+        for n in [web(), rent_2k()] {
+            let m = model(&n);
+            let k = SoaKernel::new(&m);
+            for vdd in [0.8, 3.3] {
+                // Mixed per-gate thresholds make the memo miss; a uniform
+                // one makes it hit.
+                let mixed = varied_design(&n, vdd);
+                let mut uniform = mixed.clone();
+                uniform.vt.fill(0.35);
+                assert_split_delays_match(&m, &k, &mixed, &format!("{} mixed vt {vdd}", n.name()));
+                assert_split_delays_match(
+                    &m,
+                    &k,
+                    &uniform,
+                    &format!("{} uniform vt {vdd}", n.name()),
+                );
+            }
+            // Post-sweep widths, the sizer's use.
+            let budgets = spread_budgets(n.gate_count());
+            let mut d = varied_design(&n, 1.5);
+            k.size_sweep(
+                &mut d,
+                &budgets,
+                &budgets,
+                14,
+                0.97,
+                &mut SizeScratch::new(),
+            );
+            assert_split_delays_match(&m, &k, &d, &format!("{} swept", n.name()));
+        }
+    }
+
+    #[test]
+    fn blocked_gate_is_infinite_downstream_as_in_the_model() {
+        let n = web();
+        let m = model(&n);
+        let k = SoaKernel::new(&m);
+        let mut d = varied_design(&n, 0.8);
+        // A threshold far above the supply: the drive current falls below
+        // the junction leakage, so `u` cannot switch.
+        let u = n.find("u").unwrap().index();
+        d.vt[u] = 3.0;
+        let delays = m.delays(&d);
+        assert_eq!(delays[u], f64::INFINITY);
+        for name in ["v", "w", "x", "y", "z"] {
+            let i = n.find(name).unwrap().index();
+            assert!(!delays[i].is_finite(), "{name} is downstream of u");
+        }
+        assert_eq!(k.gate_delay(&d, u, 0.0), f64::INFINITY);
+        assert_split_delays_match(&m, &k, &d, "blocked u");
+    }
+
+    #[test]
+    fn model_fingerprints_are_pinned() {
+        // Checkpoints store the fingerprint inside their salt, so its
+        // value must not drift.
+        assert_eq!(model(&web()).fingerprint(), 0x9ea9_8b54_4fc3_802f);
+        assert_eq!(
+            model(&minpower_circuits::s27()).fingerprint(),
+            0x00c9_2c1e_8147_b9e5
+        );
     }
 
     #[test]
